@@ -11,7 +11,6 @@ through combiner Bayes risks with properness guaranteed.
 
 __version__ = "0.1.0"
 
-from ._backend import backend_name
 from .calculus import (
     MSumSpec,
     compose,
@@ -66,7 +65,6 @@ from .specs import SpecError, build_loss, loss_from_text, parse_loss_spec
 
 __all__ = [
     "__version__",
-    "backend_name",
     "MSumSpec",
     "compose",
     "dual_msum",

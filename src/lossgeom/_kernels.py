@@ -1,8 +1,4 @@
-"""Hot kernels with numba and pure-numpy twins.
-
-Every public function here dispatches on the active backend (see
-``_backend``).  The private twins are kept importable so the test suite and
-the benchmark can compare them directly.
+"""Grid-pair scans and lattice enumeration.
 
 Shapes: ``L`` is a (G, n) matrix of loss vectors, row i = l(p_i); ``P`` is
 the (G, n) matrix of grid points.  Entries of ``L`` may be +inf; grid points
@@ -10,148 +6,87 @@ are strictly positive, so products with +inf never hit the 0*inf case.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
-from ._backend import USE_NUMBA, jit
+# size of one block of rows of the G x G pair matrix M[i, j] = <l(p_i); p_j>;
+# a scan holds at most three such blocks at a time, whatever G is
+_BLOCK_BYTES = 16 * 2**20
 
 
-# ---------------------------------------------------------------------------
-# pairwise properness scan
-# ---------------------------------------------------------------------------
-def _worst_violation_loops(L, P, diag):
-    # violation[i, j] = <l(p_j); p_j> - <l(p_i); p_j>; proper <=> all <= 0
-    G, n = L.shape
-    worst = -np.inf
-    wi = 0
-    wj = 0
-    for i in range(G):
-        for j in range(G):
-            e = 0.0
-            for y in range(n):
-                e += L[i, y] * P[j, y]
-            v = diag[j] - e
-            if v > worst:
-                worst = v
-                wi = i
-                wj = j
-    return worst, wi, wj
+class PairScan(NamedTuple):
+    """Worst value and witness ``(worst, i, j)`` of each grid-pair check.
+
+    Each witness indexes the pair ``p = P[i]``, ``q = P[j]``; ``supergradient``
+    and ``bregman`` are None unless the scan was given the Bayes risk.
+    """
+
+    properness: tuple
+    supergradient: tuple | None = None
+    bregman: tuple | None = None
 
 
-_worst_violation_jit = jit(_worst_violation_loops)
+def _beats(value, best) -> bool:
+    # np.argmax order over a scan: the first NaN, else the first maximum
+    return value > best or (value != value and best == best)
 
 
-def _worst_violation_numpy(L, P, diag):
-    with np.errstate(invalid="ignore"):
-        M = L @ P.T  # M[i, j] = <l(p_i); p_j>
-        V = diag[None, :] - M
-    # inf - inf on self-pairs of infinite rows: not a violation (matches the
-    # loop twin, whose nan comparisons are falsy)
-    V = np.where(np.isnan(V), -np.inf, V)
-    k = int(np.argmax(V))
-    i, j = divmod(k, V.shape[1])
-    return float(V[i, j]), i, j
-
-
-def worst_properness_violation(L, P):
+def worst_properness_violation(L, P, rho=None) -> PairScan:
     """Largest violation of <l(q);q> <= <l(p);q> over all grid pairs.
 
-    Returns ``(worst, i, j)`` where ``worst`` is the signed worst gap
-    (<= 0 means proper on the grid) and ``(i, j)`` indexes the witness pair
-    ``p = P[i]``, ``q = P[j]``.
+    ``properness`` is the signed worst gap <l(p_j);p_j> - <l(p_i);p_j>
+    (<= 0 means proper on the grid); NaN gaps, from inf - inf on the pairs
+    of an infinite row with itself, count as -inf.  Given ``rho``, the Bayes
+    risk at the grid points, the same pass also yields the worst
+    supergradient gap rho(q) - rho(p) - <l(p); q - p> and the worst negative
+    Bregman divergence <l(p);p> - <l(q);p>, where a NaN is the worst.  Ties
+    go to the first pair in row-major order of (i, j).
+
+    M is built in blocks of rows, so memory stays bounded as G grows.
     """
     L = np.ascontiguousarray(L, dtype=np.float64)
     P = np.ascontiguousarray(P, dtype=np.float64)
+    G = P.shape[0]
     diag = np.einsum("ij,ij->i", L, P)
-    if USE_NUMBA:
-        worst, i, j = _worst_violation_jit(L, P, diag)
-        return float(worst), int(i), int(j)
-    return _worst_violation_numpy(L, P, diag)
-
-
-# ---------------------------------------------------------------------------
-# pairwise expected-loss matrix (used by Bregman / regret scans)
-# ---------------------------------------------------------------------------
-def _expected_matrix_loops(L, P):
-    G, n = L.shape
-    M = np.empty((G, G))
-    for i in range(G):
-        for j in range(G):
-            e = 0.0
-            for y in range(n):
-                e += L[i, y] * P[j, y]
-            M[i, j] = e
-    return M
-
-
-_expected_matrix_jit = jit(_expected_matrix_loops)
-
-
-def _expected_matrix_numpy(L, P):
-    return L @ P.T
-
-
-def expected_loss_matrix(L, P):
-    """M[i, j] = <l(p_i); p_j> for all grid pairs."""
-    L = np.ascontiguousarray(L, dtype=np.float64)
-    P = np.ascontiguousarray(P, dtype=np.float64)
-    if USE_NUMBA:
-        return _expected_matrix_jit(L, P)
-    return _expected_matrix_numpy(L, P)
-
-
-# ---------------------------------------------------------------------------
-# lattice compositions (simplex grids)
-# ---------------------------------------------------------------------------
-def _compositions_loops(total, parts):
-    # ascending lexicographic enumeration via the standard successor step:
-    # bump the rightmost position whose suffix still carries mass, zero the
-    # suffix, park the remainder in the last slot
-    count = 1
-    for i in range(parts - 1):
-        count = count * (total + i + 1) // (i + 1)
-    out = np.zeros((count, parts), dtype=np.int64)
-    k = np.zeros(parts, dtype=np.int64)
-    k[parts - 1] = total
-    row = 0
-    while True:
-        for y in range(parts):
-            out[row, y] = k[y]
-        row += 1
-        if row == count:
-            break
-        i = parts - 2
-        tail = k[parts - 1]
-        while tail == 0:
-            tail = 0
-            i -= 1
-            for y in range(i + 1, parts):
-                tail += k[y]
-        k[i] += 1
-        for y in range(i + 1, parts):
-            k[y] = 0
-        k[parts - 1] = tail - 1
-    return out
-
-
-_compositions_jit = jit(_compositions_loops)
-
-
-def _compositions_numpy(total, parts):
-    # stars and bars through itertools.combinations (C speed), lex ascending
-    m = total + parts - 1
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(m), parts - 1)),
-        dtype=np.int64,
-    ).reshape(-1, parts - 1)
-    edges = np.hstack(
-        [
-            np.full((combos.shape[0], 1), -1, dtype=np.int64),
-            combos,
-            np.full((combos.shape[0], 1), m, dtype=np.int64),
-        ]
-    )
-    return np.diff(edges, axis=1) - 1
+    height = max(1, _BLOCK_BYTES // (8 * G))
+    prop = sg = None
+    # the Bregman matrix is the transposed gap matrix V[i, j] =
+    # diag[j] - M[i, j]: keep each column's worst value and the first block
+    # that reached it, and find the row once the winning column is known
+    col_worst = np.full(G, -np.inf)
+    col_block = np.zeros(G, dtype=np.int64)
+    for a0 in range(0, G, height):
+        a1 = min(a0 + height, G)
+        with np.errstate(invalid="ignore"):
+            V = L[a0:a1] @ P.T  # M, turned into the gap block in place below
+            if rho is not None:
+                S = np.subtract(V, diag[a0:a1, None])
+                np.subtract(rho[None, :] - rho[a0:a1, None], S, out=S)
+                k = int(np.argmax(S))
+                i, j = divmod(k, G)
+                if sg is None or _beats(S[i, j], sg[0]):
+                    sg = (float(S[i, j]), a0 + i, j)
+                del S
+            np.subtract(diag[None, :], V, out=V)
+            if rho is not None:
+                worst = V.max(axis=0)
+                take = (worst > col_worst) | (np.isnan(worst) & ~np.isnan(col_worst))
+                col_worst[take] = worst[take]
+                col_block[take] = a0
+            V[np.isnan(V)] = -np.inf
+        k = int(np.argmax(V))
+        i, j = divmod(k, G)
+        if prop is None or V[i, j] > prop[0]:
+            prop = (float(V[i, j]), a0 + i, j)
+    if rho is None:
+        return PairScan(prop)
+    c = int(np.argmax(col_worst))
+    a0 = int(col_block[c])
+    with np.errstate(invalid="ignore"):
+        column = diag[c] - (L[a0:a0 + height] @ P.T)[:, c]
+    r = int(np.argmax(column))
+    return PairScan(prop, sg, (float(column[r]), c, a0 + r))
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
@@ -166,6 +101,17 @@ def compositions(total: int, parts: int) -> np.ndarray:
         raise ValueError("total must be >= 0")
     if parts == 1:
         return np.full((1, 1), total, dtype=np.int64)
-    if USE_NUMBA:
-        return _compositions_jit(total, parts)
-    return _compositions_numpy(total, parts)
+    # stars and bars through itertools.combinations (C speed), lex ascending
+    m = total + parts - 1
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), parts - 1)),
+        dtype=np.int64,
+    ).reshape(-1, parts - 1)
+    edges = np.hstack(
+        [
+            np.full((combos.shape[0], 1), -1, dtype=np.int64),
+            combos,
+            np.full((combos.shape[0], 1), m, dtype=np.int64),
+        ]
+    )
+    return np.diff(edges, axis=1) - 1

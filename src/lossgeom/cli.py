@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,6 +36,8 @@ def _parse_vector(text: str) -> np.ndarray:
         raise SpecError("vector entries must be numbers", text, 0) from None
     if not vals:
         raise SpecError("empty vector", text, 0)
+    if any(math.isnan(v) for v in vals):
+        raise SpecError("vector entries must not be NaN", text, 0)
     return np.array(vals, dtype=np.float64)
 
 
@@ -62,7 +65,8 @@ def _emit(payload: dict, args) -> None:
                 lines.append(f"{key},{val}")
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(payload, sort_keys=True) + "\n"
+        # a non-finite number has no JSON form: ValueError, exit code 2
+        text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)

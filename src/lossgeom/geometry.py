@@ -242,18 +242,6 @@ class ProperLoss:
         """L(p, q) = <l(q); p>: expected loss of predicting q under truth p."""
         return inner(self.loss(q), _coerce(p, self.n))
 
-    def with_hint(self, hint: AntipolarHint | None) -> "ProperLoss":
-        return ProperLoss(
-            bayes_risk=self.bayes_risk,
-            loss_map=self.loss_map,
-            name=self.name,
-            n=self.n,
-            strictly_proper=self.strictly_proper,
-            analytic=self.analytic,
-            maximizer=self.maximizer,
-            antipolar_hint=hint,
-        )
-
 
 # ---------------------------------------------------------------------------
 # numeric supergradients
@@ -371,7 +359,7 @@ def check_properness(loss: ProperLoss, grid: SimplexGrid, tol: float = 1e-9) -> 
     if np.any(P <= 0):
         raise ValueError("properness grids must be strictly interior")
     L = loss.loss(P)
-    worst, i, j = worst_properness_violation(L, P)
+    worst, i, j = worst_properness_violation(L, P).properness
     return PropernessReport(
         passed=bool(worst <= tol),
         worst_violation=float(worst),

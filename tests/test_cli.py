@@ -107,6 +107,30 @@ def test_verify_failure_exit_code(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_verify_large_loss_entries_pass(capsys):
+    # cnorm with a = -0.25 reaches loss entries of about 5e3 on this grid,
+    # where rounding alone moves an entry by more than 1e-12
+    code, out, _ = run_cli(capsys, "verify", "--loss", "cnorm:a=-0.25,n=4")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--loss", "log", "--p", "nan,1"),
+        ("eval", "--loss", "log", "--p", "inf,1"),
+        ("bayes", "--loss", "log", "--p=-1,2"),
+    ],
+)
+def test_non_finite_output_is_usage_error(capsys, argv):
+    # NaN input is rejected; a NaN or -inf result has no strict JSON form
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_composition(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -171,6 +171,24 @@ def test_verify_all_detects_corruption():
     assert "p" in witness and "q" in witness
 
 
+def test_verify_all_detects_zero_homogeneity_defect():
+    # l(alpha p) = l(p) (1 + 1e-9 log alpha): a relative defect of 2.3e-9
+    # at alpha = 10, on a loss whose entries exceed 1
+    base = lg.log_loss(3)
+
+    def drifting_map(p):
+        scale = np.sum(p, axis=-1, keepdims=True)
+        return base.loss(p) * (1.0 + 1e-9 * np.log(scale))
+
+    bad = lg.ProperLoss(
+        bayes_risk=base.bayes_risk, loss_map=drifting_map, name="drifting", n=3
+    )
+    rep = verify_all(bad, lg.simplex_grid(3, 10))
+    check = [c for c in rep.checks if c.check_name == "zero_homogeneity"][0]
+    assert check.passed is False
+    assert check.worst_violation == pytest.approx(1e-9 * math.log(10.0), rel=1e-3)
+
+
 def test_verify_all_constant_loss():
     rep = verify_all(lg.constant_loss(2))
     assert rep.passed, str(rep)
