@@ -25,6 +25,8 @@ from .geometry import (
     BayesRisk,
     ProperLoss,
     _coerce,
+    _golden_max_rows,
+    _project_rows_capped_simplex,
     normalize_direction,
     numeric_supergradient_batch,
 )
@@ -133,18 +135,6 @@ def _allocations(P: np.ndarray, T: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _project_rows_capped_simplex(V: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Project each row of V onto {x >= 0, sum x = s_row} (Euclidean)."""
-    B, m = V.shape
-    U = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - s[:, None]
-    k = np.arange(1, m + 1)
-    cond = U - css / k > 0
-    rho_idx = m - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(B), rho_idx] / (rho_idx + 1)
-    return np.maximum(V - theta[:, None], 0.0)
-
-
 def _fractions_from_allocations(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Stick-breaking fractions (B, n, m-1) reproducing allocations (B, m, n)."""
     B, m, n = A.shape
@@ -204,28 +194,6 @@ def _subgradient_phase(combiner, parts, Pb, A, best_val, iters=300):
         best = np.maximum(best, vals)
         A = A_new
     return best_A, best
-
-
-def _golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, iters: int = 14):
-    """Row-wise golden-section maximization over [lo, hi]; one f call per
-    iteration, f maps a (B,) probe vector to (B,) values."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.copy(), hi.copy()
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        left = fc >= fd  # maximum lies in [a, d]
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        c_new = np.where(left, b - invphi * (b - a), d)
-        d_new = np.where(left, c, a + invphi * (b - a))
-        probe = np.where(left, c_new, d_new)
-        fp = f(probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-        c, d = c_new, d_new
-    t = np.where(fc >= fd, c, d)
-    return t, np.maximum(fc, fd)
 
 
 def dual_msum(spec: MSumSpec) -> ProperLoss:

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .calculus import normalize_canonical, scale_translate, shift_maximum
 from .divergence import regret_report, verify_all, weight_function
-from .duality import antipolar_bayes_risk, antipolar_loss, substitute
+from .duality import _antipolar_loss_vector, antipolar_bayes_risk, substitute
 from .geometry import simplex_grid, vector_to_jsonable
 from .specs import SpecError, build_loss, parse_loss_spec
 
@@ -178,7 +178,7 @@ def _dispatch(args) -> int:
         xv = _parse_vector(args.x)
         spec, loss = _build(args, xv.size)
         res = antipolar_bayes_risk(loss, xv, method=args.method)
-        apolar = antipolar_loss(loss)
+        apolar_loss = _antipolar_loss_vector(loss, xv, res)
         payload = {
             "command": cmd,
             "loss": spec.resolved(loss.n),
@@ -187,7 +187,7 @@ def _dispatch(args) -> int:
             "minimizer": vector_to_jsonable(res.minimizer),
             "method": res.method,
             "certified_gap": res.certified_gap,
-            "antipolar_loss_vector": vector_to_jsonable(apolar.loss(xv)),
+            "antipolar_loss_vector": vector_to_jsonable(apolar_loss),
             "seed": args.seed,
         }
         _emit(payload, args)

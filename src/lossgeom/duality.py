@@ -6,11 +6,14 @@ The antipolar Bayes risk of a loss with Bayes risk rho is
     rho^(x) = inf_{q != 0} <x; q> / rho(q),
 
 the concave-gauge polar.  Closed forms are used when the loss carries a
-hint; otherwise the infimum is taken numerically over the simplex
-(golden-section for n = 2, multi-start projected descent plus a
-pattern-search polish for 3 <= n <= 5; the objective is quasi-convex, so
-local search from a dense seed grid suffices at this scale, and the result
-is cross-checked against a verification grid).
+hint; otherwise the infimum is taken numerically over the simplex by one
+solver batched over queries: golden-section for n = 2; for 3 <= n <= 5,
+projected descent from the best points of a seed grid, then a pattern
+polish whose face moves (one coordinate set to 0) reach minimizers on a
+face of the simplex.  The objective is quasi-convex, so local search from a
+dense seed grid suffices at this scale, and each result is cross-checked
+against a verification grid.  Each query is solved once: the antipolar loss
+map, ``substitute`` and the CLI read their selection off that minimizer.
 
 The attained minimizer q* doubles as the supergradient of rho^ at x via the
 envelope identity  d rho^(x) = q* / rho(q*),  which is how numeric antipolar
@@ -28,6 +31,8 @@ from .geometry import (
     ProperLoss,
     SimplexGrid,
     _coerce,
+    _golden_max_rows,
+    _project_rows_capped_simplex,
     normalize_direction,
     simplex_grid,
 )
@@ -57,137 +62,137 @@ class AntipolarResult:
 
 
 # ---------------------------------------------------------------------------
-# numeric minimization of q -> <x;q>/rho(q)
+# numeric minimization of q -> <x;q>/rho(q), batched over queries x
 # ---------------------------------------------------------------------------
-def _ratio_objective(loss: ProperLoss, x: np.ndarray):
-    def g(Q: np.ndarray):
-        Q = np.asarray(Q, dtype=np.float64)
-        num = np.sum(x * Q, axis=-1)
-        den = np.asarray(loss.bayes_risk(Q), dtype=np.float64)
+_CHUNK = 32  # queries solved together; bounds the solver's memory for any B
+_STARTS = 20  # descent starts per query, the best seeds of the seed grid
+_STEPS = 0.5 ** np.arange(30)  # backtracking step sizes, tried as one block
+
+
+def _ratio(loss: ProperLoss, X: np.ndarray, Q: np.ndarray, den=None) -> np.ndarray:
+    """<x;q>/rho(q), +inf where rho(q) <= 0, for each query row x of X (R, n)
+    against one block of points per query, Q (R, M, n), or one shared set
+    Q (G, n) whose Bayes risks ``den`` the caller passes."""
+    if den is None:
+        den = np.reshape(loss.bayes_risk(Q.reshape(-1, loss.n)), Q.shape[:-1])
+    num = (X[:, None, :] * Q).sum(axis=-1)
+    return np.divide(num, den, out=np.full(num.shape, np.inf), where=den > 0)
+
+
+def _descend(loss: ProperLoss, X: np.ndarray, Q: np.ndarray, V: np.ndarray,
+             iters: int = 300) -> None:
+    """Projected gradient descent on the simplex from each row of Q (values
+    V), in place.  A row takes the first of its backtracking steps that
+    improves by more than 1e-15, and stops when none does, when the step is
+    shorter than 1e-13 or when its gradient is not finite."""
+    n = Q.shape[1]
+    live = np.isfinite(V)
+    for _ in range(iters):
+        if not np.any(live):
+            break
+        idx = np.flatnonzero(live)
+        q = Q[idx]
+        r = loss.bayes_risk(q)
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = num / den
-        return np.where(den > 0, val, np.inf)
-
-    return g
-
-
-def _golden_min(f, lo: float, hi: float, iters: int = 80):
-    """Deterministic golden-section minimization of a scalar function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    t = c if fc <= fd else d
-    return t, min(fc, fd)
+            grad = (X[idx] - V[idx, None] * loss.loss(q)) / r[:, None]
+        ok = (r > 0) & np.all(np.isfinite(grad), axis=1)
+        live[idx[~ok]] = False
+        idx, q, grad = idx[ok], q[ok], grad[ok]
+        C = (q[:, None, :] - _STEPS[:, None] * grad[:, None, :]).reshape(-1, n)
+        C = _project_rows_capped_simplex(C, np.ones(C.shape[0]))
+        C = np.maximum(C, 1e-14).reshape(idx.size, _STEPS.size, n)
+        C /= C.sum(axis=-1, keepdims=True)
+        cv = _ratio(loss, X[idx], C)
+        better = cv < V[idx, None] - 1e-15
+        rows, k = np.arange(idx.size), np.argmax(better, axis=1)
+        moved = better[rows, k]
+        settled = np.max(np.abs(C[rows, k] - q), axis=1) < 1e-13
+        Q[idx[moved]], V[idx[moved]] = C[rows, k][moved], cv[rows, k][moved]
+        live[idx[~moved | settled]] = False
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, v.size + 1)
-    cond = u - (css - 1.0) / k > 0
-    rho = k[cond][-1]
-    theta = (css[cond][-1] - 1.0) / rho
-    return np.maximum(v - theta, 0.0)
+def _polish(loss: ProperLoss, X: np.ndarray, Q: np.ndarray, V: np.ndarray) -> None:
+    """Pattern search on the simplex from each row of Q (values V), in place.
+
+    A sweep tries every transfer of delta mass between two coordinates and
+    every face move (one coordinate set to 0, the rest renormalised), and
+    takes the best that improves; without one, delta halves.  Face moves
+    reach minimizers on a face, such as the tie ridges of argmax losses,
+    that shrinking transfers only approach.  A row stops at delta <= 1e-13
+    or after 4000 evaluations."""
+    eye = np.eye(Q.shape[1])
+    gain, give = np.nonzero(eye == 0)
+    delta, budget = np.full(Q.shape[0], 0.25), np.full(Q.shape[0], 4000)
+    live = np.ones(Q.shape[0], dtype=bool)
+    while np.any(live):
+        idx = np.flatnonzero(live)
+        q, d = Q[idx], delta[idx, None]
+        faces = q[:, None, :] * (1.0 - eye)
+        mass = faces.sum(axis=-1)
+        C = np.hstack([q[:, None, :] + d[:, :, None] * (eye[gain] - eye[give]),
+                       faces / np.where(mass > 0, mass, 1.0)[..., None]])
+        ok = np.hstack([q[:, give] - d > 1e-15, (q > 0) & (mass > 0)])
+        cv = np.where(ok, _ratio(loss, X[idx], C), np.inf)
+        k = np.argmin(cv, axis=1)
+        best = cv[np.arange(idx.size), k]
+        take = best < V[idx]
+        Q[idx[take]], V[idx[take]] = C[take, k[take]], best[take]
+        delta[idx[~take]] *= 0.5
+        budget[idx] -= ok.sum(axis=1)
+        live = (delta > 1e-13) & (budget > 0)
 
 
-def _pattern_polish(g, q: np.ndarray, val: float, delta0: float = 0.25):
-    """Derivative-free mass-transfer descent on the simplex."""
-    n = q.size
-    delta = delta0
-    budget = 4000
-    while delta > 1e-13 and budget > 0:
-        improved = False
-        for i in range(n):
-            for j in range(n):
-                if i == j or q[j] - delta <= 1e-15:
-                    continue
-                cand = q.copy()
-                cand[i] += delta
-                cand[j] -= delta
-                v = float(g(cand))
-                budget -= 1
-                if v < val:
-                    q, val = cand, v
-                    improved = True
-        if not improved:
-            delta *= 0.5
-    return q, val
+def _minimize_ratio(loss: ProperLoss, X: np.ndarray):
+    """Minimize <x;q>/rho(q) over the simplex for each row x of X (B, n);
+    returns per-row values (B,), minimizers (B, n) and certified gaps (B,).
 
-
-def _projected_descent(loss: ProperLoss, x: np.ndarray, q0: np.ndarray,
-                       iters: int = 300):
-    g = _ratio_objective(loss, x)
-    q = q0.copy()
-    val = float(g(q))
-    for _ in range(iters):
-        r = float(loss.bayes_risk(q))
-        if not np.isfinite(val) or r <= 0:
-            break
-        grad = (x - val * loss.loss(q)) / r
-        if not np.all(np.isfinite(grad)):
-            break
-        step = 1.0
-        moved = False
-        for _ in range(30):
-            cand = _project_simplex(q - step * grad)
-            cand = np.maximum(cand, 1e-14)
-            cand /= cand.sum()
-            v = float(g(cand))
-            if v < val - 1e-15:
-                if np.max(np.abs(cand - q)) < 1e-13:
-                    q, val = cand, v
-                    return q, val
-                q, val = cand, v
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    return q, val
-
-
-def _minimize_ratio(loss: ProperLoss, x: np.ndarray):
-    """Minimize <x;q>/rho(q) over the simplex; returns (value, q*, gap)."""
+    n = 2: golden-section search; 3 <= n <= 5: projected descent from the
+    best seeds of a simplex grid, then a pattern polish.  Each result is
+    checked against a verification grid and polished again from the grid
+    point where the grid wins.  Rows are solved in chunks of ``_CHUNK``, and
+    a row's result does not depend on the other rows."""
     n = loss.n
-    g = _ratio_objective(loss, x)
-    if n == 2:
-        f = lambda t: float(g(np.array([t, 1.0 - t])))
-        t, val = _golden_min(f, 1e-9, 1.0 - 1e-9, iters=80)
-        q = np.array([t, 1.0 - t])
-        verify = simplex_grid(2, 2000).points
-    elif n <= _MAX_NUMERIC_DIM:
-        seeds = simplex_grid(n, 12).points
-        order = np.argsort(np.asarray(g(seeds)))
-        best_q, best_val = None, np.inf
-        for idx in order[:20]:
-            q_i, v_i = _projected_descent(loss, x, seeds[idx].copy())
-            if v_i < best_val:
-                best_q, best_val = q_i, v_i
-        q, val = _pattern_polish(g, best_q, best_val)
-        verify = simplex_grid(n, 24).points
-    else:
+    if n > _MAX_NUMERIC_DIM:
         raise ValueError(
             f"numeric antipolar supports dimensions 2..{_MAX_NUMERIC_DIM}, got {n}"
         )
-    grid_vals = np.asarray(g(verify))
-    k = int(np.argmin(grid_vals))
-    grid_val = float(grid_vals[k])
-    gap = max(0.0, val - grid_val)
-    if grid_val < val:
-        q, val = _pattern_polish(g, verify[k].copy(), grid_val)
-    return val, q, gap
+    X = np.asarray(X, dtype=np.float64).reshape(-1, n)
+    verify = simplex_grid(n, 2000 if n == 2 else 24).points
+    verify_risk = loss.bayes_risk(verify)
+    if n > 2:
+        seeds = simplex_grid(n, 12).points
+        seed_risk = loss.bayes_risk(seeds)
+    out = (np.empty(X.shape[0]), np.empty(X.shape), np.empty(X.shape[0]))
+    for start in range(0, X.shape[0], _CHUNK):
+        Xc = X[start:start + _CHUNK]
+        rows = np.arange(Xc.shape[0])
+        if n == 2:  # golden section over q = (t, 1 - t), maximizing -ratio
+            to_q = lambda t: np.array([t, 1.0 - t]).T
+            f = lambda t: -_ratio(loss, Xc, to_q(t)[:, None])[:, 0]
+            a, b = np.full(len(Xc), 1e-9), np.full(len(Xc), 1.0 - 1e-9)
+            t, v = _golden_max_rows(f, a, b, iters=80)
+            q, v = to_q(t), -v
+        else:
+            seed_vals = _ratio(loss, Xc, seeds, seed_risk)
+            order = np.argsort(seed_vals, axis=1)[:, :_STARTS]
+            Qs, Vs = seeds[order], seed_vals[rows[:, None], order]
+            _descend(loss, np.repeat(Xc, _STARTS, axis=0), Qs.reshape(-1, n),
+                     Vs.reshape(-1))
+            best = np.argmin(Vs, axis=1)
+            q, v = Qs[rows, best], Vs[rows, best]
+            _polish(loss, Xc, q, v)
+        grid = _ratio(loss, Xc, verify, verify_risk)
+        k = np.argmin(grid, axis=1)
+        grid_val = grid[rows, k]
+        gap = np.fmax(v - grid_val, 0.0)
+        win = grid_val < v
+        if np.any(win):
+            q_win, v_win = verify[k[win]], grid_val[win]
+            _polish(loss, Xc[win], q_win, v_win)
+            q[win], v[win] = q_win, v_win
+        for dest, part in zip(out, (v, q, gap)):
+            dest[start:start + Xc.shape[0]] = part
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +228,16 @@ def antipolar_bayes_risk(loss: ProperLoss, x, method: str = "auto") -> Antipolar
                     return AntipolarResult(val, minimizer, "closed_form", 0.0)
                 except ValueError:
                     pass  # boundary point: the infimum is a limit, locate numerically
-            num_val, q, _ = _minimize_ratio(loss, xa)
-            return AntipolarResult(val, q, "closed_form", abs(val - num_val))
+            num_vals, q, _ = _minimize_ratio(loss, xa[None, :])
+            gap = abs(val - float(num_vals[0]))
+            return AntipolarResult(val, q[0], "closed_form", gap)
         if method == "closed_form":
             raise ValueError(
                 f"closed-form antipolar of {loss.name} is singular at this point"
             )
 
-    val, q, gap = _minimize_ratio(loss, xa)
-    return AntipolarResult(float(val), q, "numeric", float(gap))
+    vals, q, gaps = _minimize_ratio(loss, xa[None, :])
+    return AntipolarResult(float(vals[0]), q[0], "numeric", float(gaps[0]))
 
 
 def antipolar_loss(loss: ProperLoss) -> ProperLoss:
@@ -250,35 +256,25 @@ def antipolar_loss(loss: ProperLoss) -> ProperLoss:
 
     n = loss.n
 
-    if hint is not None and hint.rho is not None:
-        def rho_fn(P):
-            P = np.asarray(P, dtype=np.float64)
-            vals = np.asarray(hint.rho(P), dtype=np.float64)
-            if np.any(np.isnan(vals)):
-                flat = np.atleast_2d(P.reshape(-1, n))
-                v = vals.reshape(-1).copy()
-                for i in np.argwhere(np.isnan(v)).ravel():
-                    v[i] = _minimize_ratio(loss, flat[i])[0]
-                vals = v.reshape(vals.shape) if vals.ndim else float(v[0])
-            return vals
-    else:
-        def rho_fn(P):
-            P = np.asarray(P, dtype=np.float64)
-            flat = P.reshape(-1, n)
-            vals = np.array([_minimize_ratio(loss, row)[0] for row in flat])
-            return vals.reshape(P.shape[:-1])
+    def rho_fn(P):
+        P = np.asarray(P, dtype=np.float64)
+        flat = P.reshape(-1, n)
+        if hint is not None and hint.rho is not None:
+            vals = np.array(hint.rho(flat), dtype=np.float64)
+        else:
+            vals = np.full(flat.shape[0], np.nan)
+        singular = np.isnan(vals)  # no closed form, or one of its 0/0 points
+        if np.any(singular):
+            vals[singular] = _minimize_ratio(loss, flat[singular])[0]
+        return vals.reshape(P.shape[:-1])
 
     if hint is not None and hint.loss_map is not None:
         map_fn = hint.loss_map
     else:
         def map_fn(P):
             P = np.asarray(P, dtype=np.float64)
-            flat = P.reshape(-1, n)
-            out = np.empty_like(flat)
-            for i, row in enumerate(flat):
-                _, q, _ = _minimize_ratio(loss, row)
-                out[i] = q / float(loss.bayes_risk(q))
-            return out.reshape(P.shape)
+            Q = _minimize_ratio(loss, P)[1]
+            return (Q / loss.bayes_risk(Q)[:, None]).reshape(P.shape)
 
     fully_closed = (
         hint is not None and hint.rho is not None and hint.loss_map is not None
@@ -293,6 +289,15 @@ def antipolar_loss(loss: ProperLoss) -> ProperLoss:
         maximizer=None,
         antipolar_hint=None,
     )
+
+
+def _antipolar_loss_vector(loss: ProperLoss, x, result: AntipolarResult):
+    """``antipolar_loss(loss).loss(x)``, with a numeric selection read off the
+    minimizer of the antipolar solve ``result`` at x instead of solving again."""
+    hint = loss.antipolar_hint
+    if hint is not None and (hint.partner is not None or hint.loss_map is not None):
+        return antipolar_loss(loss).loss(x)
+    return result.minimizer / float(loss.bayes_risk(result.minimizer))
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +353,13 @@ def substitute(loss: ProperLoss, x, tol: float = 1e-6) -> np.ndarray:
     x; componentwise dominance is verified before returning.
     """
     xa = _coerce(x, loss.n)
-    beta = antipolar_bayes_risk(loss, xa).value
+    result = antipolar_bayes_risk(loss, xa)
+    beta = result.value
     if beta < 1.0 - 1e-8 * max(1.0, abs(beta)):
         raise ValueError(
             f"x is not a superprediction point (antigauge {beta:.6g} < 1)"
         )
-    apolar = antipolar_loss(loss)
-    p = normalize_direction(apolar.loss(xa))
+    p = normalize_direction(_antipolar_loss_vector(loss, xa, result))
     lp = loss.loss(p)
     worst = float(np.max(lp - xa))
     if worst > tol:
@@ -406,23 +411,11 @@ def check_pseudo_inverse(
     Meaningful for strictly proper losses (unique supergradients); at kink
     points of non-strictly-proper losses the chain depends on the selection.
     """
-    apolar = antipolar_loss(loss)
-    worst_loss = 0.0
-    worst_dir = 0.0
-    for p in grid.points:
-        lx = loss.loss(p)
-        back = apolar.loss(lx)
-        chain = loss.loss(back)
-        finite = np.isfinite(lx)
-        worst_loss = max(worst_loss, float(np.max(np.abs(chain - lx)[finite])))
-        worst_dir = max(
-            worst_dir,
-            float(
-                np.max(
-                    np.abs(normalize_direction(back) - normalize_direction(p))
-                )
-            ),
-        )
+    lx = loss.loss(grid.points)
+    back = antipolar_loss(loss).loss(lx)
+    loss_err = np.where(np.isfinite(lx), np.abs(loss.loss(back) - lx), 0.0)
+    dir_err = np.abs(normalize_direction(back) - normalize_direction(grid.points))
+    worst_loss, worst_dir = (float(np.max(e, initial=0.0)) for e in (loss_err, dir_err))
     return PseudoInverseReport(
         passed=bool(worst_loss <= tol and worst_dir <= tol),
         worst_loss_error=worst_loss,

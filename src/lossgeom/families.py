@@ -98,7 +98,9 @@ def _log_antipolar_beta(x: np.ndarray, n: int) -> np.ndarray:
     boundary, i.e. the root of sum_y exp(-x_y / beta) = 1.
 
     Exact antipolar Bayes risk of the log loss; 0 when x touches the
-    boundary of the orthant.  Vectorized bisection.
+    boundary of the orthant.  Vectorized bisection on the equivalent
+    expm1(-z_min / beta) + sum_{y != min} exp(-z_y / beta) = 0, accurate when
+    z_min is near zero, where exp(-z_min / beta) rounds to 1.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -108,16 +110,19 @@ def _log_antipolar_beta(x: np.ndarray, n: int) -> np.ndarray:
     ok = np.all(X > 0, axis=-1) & np.isfinite(scale) & (scale > 0)
     if np.any(ok):
         Z = X[ok] / scale[ok][:, None]  # beta is 1-homogeneous
+        smallest = np.arange(n) == np.argmin(Z, axis=-1)[:, None]
+        z_min = -Z[smallest]
+        rest = np.where(smallest, -np.inf, -Z)  # exp(-inf) = 0 drops z_min
         lo = np.full(Z.shape[0], 1e-18)
         hi = np.full(Z.shape[0], 2.0 / math.log(n))
-        g = lambda b: np.sum(np.exp(-Z / b[:, None]), axis=-1)
-        grow = g(hi) < 1.0
+        g = lambda b: np.expm1(z_min / b) + np.sum(np.exp(rest / b[:, None]), axis=-1)
+        grow = g(hi) < 0.0
         while np.any(grow):  # pragma: no cover - bracket is generous
             hi[grow] *= 2.0
-            grow = g(hi) < 1.0
+            grow = g(hi) < 0.0
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            below = g(mid) < 1.0
+            below = g(mid) < 0.0
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         out[ok] = 0.5 * (lo + hi) * scale[ok]

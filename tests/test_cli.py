@@ -47,6 +47,14 @@ def test_antipolar_zeroone_numeric_tag(capsys):
     assert payload["method"] == "numeric"
 
 
+def test_antipolar_log_near_zero_coordinate(capsys):
+    code, out, _ = run_cli(capsys, "antipolar", "--loss", "log", "--x", "1e-300,1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == pytest.approx(1.4614601088436294e-3, rel=1e-14)
+    assert all(math.isfinite(v) for v in payload["minimizer"])
+
+
 def test_antipolar_cobb_douglas_closed_form(capsys):
     code, out, _ = run_cli(capsys, "antipolar", "--loss", "cd:a=1,1", "--x", "0.5,0.5")
     payload = json.loads(out)

@@ -1,11 +1,14 @@
 """Antipolar Bayes risks and losses, substitution, the canonical link."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import lossgeom as lg
+from lossgeom import duality
 from lossgeom.duality import (
     antigauge,
     antipolar_bayes_risk,
@@ -265,3 +268,121 @@ def test_brier_closed_form_vs_explicit_formula():
         closed = float(brier_antipolar_value_2d(t))
         oracle = _grid_ratio_min(loss, [t, 1.0 - t])
         assert closed == pytest.approx(oracle, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the batched numeric solver
+# ---------------------------------------------------------------------------
+SOLVER_SPECS = ("brier", "normloss:alpha=2", "normloss:alpha=1", "zeroone", "cnorm:a=1")
+
+
+def _closed_lattice(n, resolution):
+    """Every point k / resolution of the closed n-simplex, boundary included."""
+    heads = np.indices((resolution + 1,) * (n - 1)).reshape(n - 1, -1).T
+    heads = heads[heads.sum(axis=1) <= resolution]
+    K = np.column_stack([heads, resolution - heads.sum(axis=1)])
+    return K / resolution
+
+
+def _lattice_min(loss, X, lattice):
+    """Brute-force oracle: min over the lattice of <x;q>/rho(q), per row of X."""
+    den = np.asarray(loss.bayes_risk(lattice))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(den > 0, (X @ lattice.T) / den, np.inf)
+    return ratios.min(axis=1)
+
+
+def _queries(loss, count, seed):
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(loss.n), size=count)
+    return loss.loss(P) + rng.uniform(0.0, 0.5, size=(count, loss.n))
+
+
+@pytest.mark.parametrize("n,resolution", [(3, 600), (4, 100)])
+@pytest.mark.parametrize("spec", SOLVER_SPECS)
+def test_solver_reaches_closed_lattice_minimum(spec, n, resolution):
+    loss = lg.build_loss(lg.parse_loss_spec(spec), n)
+    X = _queries(loss, 20, seed=n)
+    values, minimizers, gaps = duality._minimize_ratio(loss, X)
+    best = _lattice_min(loss, X, _closed_lattice(n, resolution))
+    assert np.all(values <= best * (1.0 + 1e-9)), np.max(values / best - 1.0)
+    assert np.all(gaps == 0.0)
+    np.testing.assert_allclose(minimizers.sum(axis=1), 1.0, atol=1e-12)
+    assert minimizers.min() >= 0.0
+
+
+@pytest.mark.parametrize("spec", ["brier:n=3", "zeroone:n=3", "log:n=2"])
+def test_solver_rows_do_not_depend_on_their_batch(spec):
+    loss = lg.build_loss(lg.parse_loss_spec(spec))
+    X = _queries(loss, duality._CHUNK + 5, seed=7)  # spans a chunk boundary
+    batch = duality._minimize_ratio(loss, X)
+    for i, x in enumerate(X):
+        alone = duality._minimize_ratio(loss, x[None, :])
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[i], want[0])
+
+
+def test_solver_memory_does_not_grow_with_the_batch():
+    loss = lg.brier_loss(3)
+    X = _queries(loss, 256, seed=11)
+    tracemalloc.start()
+    try:
+        duality._minimize_ratio(loss, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak / 2**20
+
+
+def test_zero_one_ridge_minimizer_on_the_face():
+    # the minimizer (0, 1/2, 1/2) lies on a face, which transfers of
+    # shrinking mass only approach; the face move reaches it exactly
+    loss = lg.zero_one_loss(3)
+    x = np.array([1.445137176002396, 0.11357879676668986, 1.3115935723430212])
+    res = antipolar_bayes_risk(loss, x)
+    assert res.value == pytest.approx(1.4251723691097111, rel=1e-15)
+    np.testing.assert_allclose(res.minimizer, [0.0, 0.5, 0.5], atol=1e-15)
+    assert res.certified_gap == 0.0
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    calls = []
+    solve = duality._minimize_ratio
+
+    def counted(loss, X):
+        calls.append(np.asarray(X).shape[0])
+        return solve(loss, X)
+
+    monkeypatch.setattr(duality, "_minimize_ratio", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["brier:n=3", "normloss:alpha=2,n=3", "brier:n=2"])
+def test_substitute_solves_once(count_solves, spec):
+    loss = lg.build_loss(lg.parse_loss_spec(spec))
+    x = _queries(loss, 1, seed=3)[0]
+    p = substitute(loss, x)
+    assert count_solves == [1]
+    assert np.all(loss.loss(p) <= x + 1e-6)
+
+
+def test_cli_antipolar_solves_once(count_solves, capsys):
+    from lossgeom.cli import main
+
+    x = _queries(lg.brier_loss(3), 1, seed=5)[0]
+    code = main(["antipolar", "--loss", "brier:n=3",
+                 "--x=" + ",".join(repr(float(v)) for v in x)])
+    assert code == 0
+    assert count_solves == [1]
+    out = json.loads(capsys.readouterr().out)
+    q = np.array(out["minimizer"])
+    np.testing.assert_array_equal(out["antipolar_loss_vector"], q / lg.brier_loss(3).rho(q))
+
+
+def test_antipolar_loss_solves_each_batch_once(count_solves):
+    apolar = antipolar_loss(lg.brier_loss(3))
+    X = _queries(lg.brier_loss(3), 4, seed=9)
+    apolar.rho(X)
+    apolar.loss(X)
+    assert count_solves == [4, 4]

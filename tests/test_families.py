@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,6 +34,33 @@ def test_log_degenerate():
     l = loss.loss([1.0, 0.0])
     assert l[0] == 0.0 and l[1] == np.inf
     assert loss.rho([1.0, 0.0]) == 0.0
+
+
+def _log_antipolar_mpmath(x):
+    """50-digit root beta of sum_y exp(-x_y / beta) = 1, by bisection, with
+    the smallest coordinate's term moved to the left as expm1 so that the
+    equation stays resolvable when that coordinate is near zero."""
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(v) for v in x]
+        k = xs.index(min(xs))
+
+        def f(b):
+            rest = mpmath.fsum(mpmath.exp(-v / b) for i, v in enumerate(xs) if i != k)
+            return mpmath.expm1(-xs[k] / b) + rest
+
+        lo, hi = mpmath.mpf("1e-6"), mpmath.mpf(10)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+        return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("x", [(1e-300, 1.0), (1e-12, 1.0)])
+def test_log_antipolar_near_zero_coordinate_matches_mpmath(x):
+    res = lg.antipolar_bayes_risk(lg.log_loss(2), x)
+    assert res.method == "closed_form"
+    assert res.value == pytest.approx(_log_antipolar_mpmath(x), rel=1e-14)
+    assert np.all(np.isfinite(res.minimizer))
 
 
 # ---------------------------------------------------------------------------
