@@ -4,8 +4,9 @@ Direct composition routes m component Bayes risks through a combiner Bayes
 risk over R^m; the composed loss map is the n-by-m matrix of component loss
 vectors times the combiner's loss map evaluated at the component risks, so
 properness is inherited.  The dual composition maximizes the combiner over
-additive splittings of the probability direction; its supergradients are
-taken numerically.
+additive splittings of the probability direction, a concave problem solved
+to a certified gap; its loss map follows from the optimal splitting by
+Danskin's theorem.
 
 Also here: positive scaling plus translation of the superprediction set,
 canonical normalization (Bayes-risk maximum scaled to 1) and repositioning
@@ -14,21 +15,19 @@ of the Bayes-risk maximizer.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import compositions
 from .duality import antipolar_bayes_risk
 from .geometry import (
     AntipolarHint,
     BayesRisk,
     ProperLoss,
     _coerce,
-    _golden_max_rows,
-    _project_rows_capped_simplex,
     normalize_direction,
-    numeric_supergradient_batch,
 )
 
 __all__ = [
@@ -42,6 +41,10 @@ __all__ = [
 ]
 
 _DUAL_BUDGET = 8  # max free splitting coordinates n*(m-1)
+# certified relative gap at which a dual M-sum row stops; no tighter, since
+# a combiner's 1e-12 tie tolerance can make its bounds wrong by about that
+_DUAL_RTOL = 1e-12
+_DUAL_ACTIVE = 1e-9  # share of an outcome above which a part holds it
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,102 +114,140 @@ def msum(spec: MSumSpec) -> ProperLoss:
 # ---------------------------------------------------------------------------
 # dual composition
 # ---------------------------------------------------------------------------
-def _stick_fractions_from_weights(w: np.ndarray) -> np.ndarray:
-    """Stick-breaking fractions t reproducing scalar split weights w."""
-    m = w.shape[-1]
-    t = np.empty(w.shape[:-1] + (m - 1,))
-    rem = np.ones(w.shape[:-1])
-    for i in range(m - 1):
-        t[..., i] = np.where(rem > 1e-300, w[..., i] / np.maximum(rem, 1e-300), 0.0)
-        rem = rem - w[..., i]
-    return np.clip(t, 0.0, 1.0)
+def _solve_splitting(combiner, parts, P):
+    """Maximize f = rho_M(rho_1(a_1), ..., rho_m(a_m)) over splittings
+    a_1 + ... + a_m = p, a_i >= 0, for each row p of P (B, n).
 
+    The variables are the fractions u_i = a_i / p of the first m - 1 parts
+    (a_m takes the rest), in a product of n corner simplices in R^d,
+    d = n (m - 1), where f is concave.  Each row runs a central-cut
+    ellipsoid method E = {c + J z : |z| <= 1}, kept in the factor J so that
+    J J^T stays positive definite.  A centre with every u_(i,y) > 0 is cut by
+    the supergradient p_y (G_(i,y) - G_(m,y)), G_(i,y) = w_i l_i(a_i)_y with
+    w the combiner's loss at the part risks; any other centre by the normal
+    of its most violated (or touching) constraint, since l_i(a_i)_y may be
+    infinite there.  No cut loses a maximizer, so at every such centre
+    f(c) + |J^T g| (the supergradient inequality over E) and
+    sum_y p_y max_i G_(i,y) (the Frank-Wolfe bound) bound the supremum.  A
+    row stops once its best bound is within _DUAL_RTOL of its best value,
+    or after a number of cuts set by d.
 
-def _allocations(P: np.ndarray, T: np.ndarray) -> list[np.ndarray]:
-    """Split P into m nonnegative parts from fractions T of shape (..., n, m-1)."""
-    m = T.shape[-1] + 1
-    rem = P
-    out = []
-    for i in range(m - 1):
-        a = T[..., i] * rem
-        out.append(a)
-        rem = rem - a
-    out.append(rem)
-    return out
-
-
-def _fractions_from_allocations(P: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Stick-breaking fractions (B, n, m-1) reproducing allocations (B, m, n)."""
-    B, m, n = A.shape
-    T = np.empty((B, n, m - 1))
-    rem = P.copy()
-    for i in range(m - 1):
-        T[:, :, i] = np.where(rem > 1e-300, A[:, i, :] / np.maximum(rem, 1e-300), 0.0)
-        rem = rem - A[:, i, :]
-    return np.clip(T, 0.0, 1.0)
-
-
-def _subgradient_phase(combiner, parts, Pb, A, best_val, iters=300):
-    """Projected supergradient ascent on the splitting objective.
-
-    Combiners with kinks (coordinate-minimum risks) put the optimum on a
-    ridge where per-coordinate line search stalls; the supergradient
-    w_i * l_i(a_i), with w the combiner's tie-splitting loss map at the
-    component risks, slides along that ridge.  A is (B, m, n); returns the
-    best allocation and value seen.
+    Returns the best values (B,) and, at the centres that reached them, the
+    fractions (B, m, n), part loss vectors (B, m, n) and combiner loss (B, m).
     """
-    m = len(parts)
-    B, _, n = A.shape
-    best_A = A.copy()
-    best = best_val.copy()
-    tiny = 1e-12
-    radius = 0.35 * np.max(Pb, axis=1)
-    for k in range(1, iters + 1):
-        safe = np.maximum(A, tiny * Pb[:, None, :])
-        risks = np.stack(
-            [parts[i].bayes_risk(safe[:, i, :]) for i in range(m)], axis=-1
-        )
-        risks = np.maximum(risks, tiny)
-        weights = combiner.loss(risks)  # (B, m)
-        G = np.stack(
-            [
-                weights[:, i, None] * np.minimum(parts[i].loss(safe[:, i, :]), 1e8)
-                for i in range(m)
-            ],
-            axis=1,
-        )
-        scale = np.max(np.abs(G), axis=(1, 2))
-        G = G / np.maximum(scale, tiny)[:, None, None]
-        A_new = A + (radius / np.sqrt(k))[:, None, None] * G
-        flat = np.swapaxes(A_new, 1, 2).reshape(B * n, m)
-        flat = _project_rows_capped_simplex(flat, Pb.reshape(-1))
-        A_new = np.swapaxes(flat.reshape(B, n, m), 1, 2)
-        vals = combiner.bayes_risk(
-            np.maximum(
-                np.stack(
-                    [parts[i].bayes_risk(A_new[:, i, :]) for i in range(m)], axis=-1
-                ),
-                0.0,
-            )
-        )
-        take = vals > best
-        best_A[take] = A_new[take]
-        best = np.maximum(best, vals)
-        A = A_new
-    return best_A, best
+    m, (B, n) = len(parts), P.shape
+    d = (m - 1) * n
+    # the ball about the equal split through the farthest simplex vertices
+    radius = math.sqrt(n * (m * m - m - 1)) / m
+    grow = d / math.sqrt(d * d - 1.0)
+    shrink = math.sqrt((d - 1.0) / (d + 1.0)) - 1.0
+    cap = 4 * d * (d + 1) * math.ceil(math.log(1.0 / _DUAL_RTOL))
+    C = np.full((B, d), 1.0 / m)
+    J = np.broadcast_to(radius * np.eye(d), (B, d, d)).copy()
+    best, upper = np.full(B, -np.inf), np.full(B, np.inf)
+    best_U, best_L, best_w = np.empty((B, m, n)), np.empty((B, m, n)), np.empty((B, m))
+    done = np.zeros(B, dtype=bool)
+    for _ in range(cap):
+        act = np.flatnonzero(~done)
+        if act.size == 0:
+            break
+        c, Jk, p = C[act], J[act], P[act]
+        k = act.size
+        U = c.reshape(k, m - 1, n)
+        U = np.concatenate([U, 1.0 - U.sum(axis=1, keepdims=True)], axis=1)
+        worst = np.argmin(U.reshape(k, m * n), axis=1)
+        # the gradient of u_(worst) in the free coordinates
+        E = np.zeros((k, m * n))
+        E[np.arange(k), worst] = 1.0
+        E = E.reshape(k, m, n)
+        g = E[:, :-1] - E[:, -1:]
+        rows = np.flatnonzero(U.reshape(k, m * n)[np.arange(k), worst] > 0)
+        if rows.size:
+            pr = p[rows]
+            A = U[rows] * pr[:, None, :]
+            risks = np.stack(
+                [part.bayes_risk(A[:, i]) for i, part in enumerate(parts)], axis=-1
+            ).clip(min=0.0)  # rounding leaves -1e-17 where a risk vanishes
+            val = np.asarray(combiner.bayes_risk(risks), dtype=np.float64)
+            # a concave risk >= 0 that vanishes inside a face vanishes on all
+            # of it, so where every part risk is 0, f = 0 at every split
+            w = np.zeros_like(risks)
+            live = np.sum(risks, axis=-1) > 0
+            w[live] = combiner.loss(risks[live])
+            L = np.stack([part.loss(A[:, i]) for i, part in enumerate(parts)], axis=1)
+            with np.errstate(invalid="ignore"):  # 0 * inf where p_y = 0
+                G = np.where(w[:, :, None] > 0, w[:, :, None] * L, 0.0)
+                dG = pr[:, None, :] * (G[:, :-1] - G[:, -1:])
+                g[rows] = np.where(pr[:, None, :] > 0, dG, 0.0)
+                fw = np.sum(np.where(pr > 0, pr * G.max(axis=1), 0.0), axis=-1)
+        h = np.sum(Jk * g.reshape(k, d, 1), axis=1)
+        nh = np.sqrt(np.sum(h * h, axis=1))
+        if rows.size:
+            at = act[rows]
+            upper[at] = np.minimum(upper[at], np.minimum(val + nh[rows], fw))
+            better = val > best[at]
+            took = at[better]
+            best[took] = val[better]
+            best_U[took], best_L[took] = U[rows][better], L[better]
+            best_w[took] = w[better]
+        # nh = 0 only where g = 0 at a centre inside, which is then optimal
+        hh = h / np.where(nh > 0, nh, 1.0)[:, None]
+        b = np.sum(Jk * hh[:, None, :], axis=2)
+        C[act] = c + b / (d + 1.0)
+        J[act] = grow * (Jk + shrink * b[:, :, None] * hh[:, None, :])
+        done[act] = upper[act] - best[act] <= _DUAL_RTOL * np.abs(best[act])
+    return best, best_U, best_L, best_w
+
+
+def _envelope_loss(U, L, w):
+    """The loss map at the optimal splitting, by Danskin: l(p)_y equals
+    w_i l_i(a_i)_y for every part i that holds outcome y.
+
+    Those equalities fix the weights: parts i, j sharing an outcome y have
+    w_j / w_i = l_i(a_i)_y / l_j(a_j)_y.  The weights propagate along shared
+    outcomes (the one both parts hold most of); each set of parts so linked
+    is scaled to the combiner's total weight on it, so that a part sharing no
+    outcome keeps w_i = l_M(r)_i.  l(p)_y is then read from the part holding
+    most of y.  U, L are (B, m, n) fractions and part loss vectors, w (B, m).
+    """
+    B, m, n = U.shape
+    Li = np.broadcast_to(L[:, :, None, :], (B, m, m, n))
+    Lj = np.broadcast_to(L[:, None, :, :], (B, m, m, n))
+    share = np.minimum(U[:, :, None, :], U[:, None, :, :])
+    share = np.where((share > _DUAL_ACTIVE) & (Li > 0) & (Lj > 0), share, 0.0)
+    y = np.argmax(share, axis=-1)[..., None]
+    linked = np.take_along_axis(share, y, -1)[..., 0] > 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # used only where linked
+        ratio = np.take_along_axis(Li / Lj, y, -1)[..., 0]
+
+    comp = np.full((B, m), -1)
+    rel = np.ones((B, m))
+    weights = np.zeros((B, m))
+    for s in range(m):
+        comp[comp[:, s] < 0, s] = s
+        for _ in range(m - 1):
+            for i, j in itertools.permutations(range(m), 2):
+                step = (comp[:, i] == s) & (comp[:, j] < 0) & linked[:, i, j]
+                rel[step, j] = rel[step, i] * ratio[step, i, j]
+                comp[step, j] = s
+        mine = comp == s
+        total = np.sum(mine * w, axis=1) / np.sum(mine * rel, axis=1).clip(min=1e-300)
+        weights += mine * rel * total[:, None]
+    top = np.argmax(U, axis=1)[:, None, :]
+    return np.take_along_axis(weights[:, :, None] * L, top, axis=1)[:, 0, :]
 
 
 def dual_msum(spec: MSumSpec) -> ProperLoss:
     """Dual composition: rho(p) = sup over splittings a_1+...+a_m = p, a_i >= 0,
     of rho_M(rho_1(a_1), ..., rho_m(a_m)).
 
-    The splitting is restricted to the nonnegative cone (component risks are
-    -inf outside it).  Maximization is per-coordinate stick-breaking seeded
-    from a resolution-24 scalar-split grid, a projected supergradient phase
-    (which handles the ridge optima of kinked combiners), then
-    coordinate-ascent sweeps with a shrinking bracket; the objective is
-    concave in the splitting, so this schedule is reliable at desk scale.
-    Loss maps are numeric supergradients of the optimized risk.
+    The splitting objective is concave (a sup-convolution), so the supremum
+    is certified: ``_solve_splitting`` runs a batched ellipsoid method that
+    stops each row on its own certified gap.  The loss map is read off the
+    optimal splitting by Danskin's theorem (``_envelope_loss``) and scaled
+    so that <l(p), p> = rho(p); it needs strictly positive p.  Each row is
+    solved at p / max(p), by homogeneity, so extreme scales neither
+    overflow nor underflow.
     """
     if spec.mode != "dual":
         raise ValueError("dual_msum requires mode='dual'")
@@ -218,79 +259,30 @@ def dual_msum(spec: MSumSpec) -> ProperLoss:
             f"splitting budget exceeded: n*(m-1) = {n * (m - 1)} > {_DUAL_BUDGET}"
         )
 
-    def objective(P, T):
-        allocs = _allocations(P, T)
-        risks = np.stack(
-            [part.bayes_risk(a) for part, a in zip(parts, allocs)], axis=-1
-        )
-        return combiner.bayes_risk(np.maximum(risks, 0.0))
-
     def rho(P):
-        P = np.asarray(P, dtype=np.float64)
-        squeeze = P.ndim == 1
-        Pb = P[None, :] if squeeze else P.reshape(-1, n)
-        B = Pb.shape[0]
-
-        # seeds: common per-coordinate fraction from a scalar-split lattice
-        w_seeds = compositions(24, m).astype(np.float64) / 24.0  # (S, m)
-        t_seeds = _stick_fractions_from_weights(w_seeds)  # (S, m-1)
-        S = t_seeds.shape[0]
-        T_all = np.broadcast_to(
-            t_seeds[None, :, None, :], (B, S, n, m - 1)
-        )
-        vals = objective(
-            np.broadcast_to(Pb[:, None, :], (B, S, n)), T_all
-        )  # (B, S)
-        best_idx = np.argmax(vals, axis=1)
-        T = np.broadcast_to(
-            t_seeds[best_idx][:, None, :], (B, n, m - 1)
-        ).copy()
-        best = vals[np.arange(B), best_idx]
-
-        # supergradient ascent escapes the ridge stalls of kinked combiners
-        # that defeat per-coordinate search (asymmetric optimal splittings)
-        A = np.stack(_allocations(Pb, T), axis=1)
-        A, best = _subgradient_phase(combiner, parts, Pb, A, best)
-        T = _fractions_from_allocations(Pb, A)
-
-        width = 0.5
-        stall = 0
-        for _ in range(200):
-            improved = np.zeros(B, dtype=bool)
-            for y in range(n):
-                for i in range(m - 1):
-                    cur = T[:, y, i]
-                    lo = np.clip(cur - width, 0.0, 1.0)
-                    hi = np.clip(cur + width, 0.0, 1.0)
-
-                    def f(t):
-                        Tc = T.copy()
-                        Tc[:, y, i] = t
-                        return objective(Pb, Tc)
-
-                    t_new, v_new = _golden_max_rows(f, lo, hi)
-                    take = v_new > best
-                    T[take, y, i] = t_new[take]
-                    improved |= v_new > best + 1e-15 * (1.0 + np.abs(best))
-                    best = np.maximum(best, v_new)
-            width *= 0.9
-            stall = 0 if np.any(improved) else stall + 1
-            if stall >= 3:
-                break
-        out = best if not squeeze else float(best[0])
-        return out if squeeze else best.reshape(P.shape[:-1])
-
-    bayes = BayesRisk(rho, n)
+        flat = P.reshape(-1, n)  # P >= 0 here, so a non-finite entry shows in the max
+        scale = flat.max(axis=1)
+        vals = np.where(scale == 0, 0.0, np.nan)
+        ok = np.isfinite(scale) & (scale > 0)
+        if np.any(ok):
+            Q = flat[ok] / scale[ok, None]
+            vals[ok] = scale[ok] * _solve_splitting(combiner, parts, Q)[0]
+        return vals.reshape(P.shape[:-1])
 
     def loss_map(P):
-        P = np.asarray(P, dtype=np.float64)
-        squeeze = P.ndim == 1
-        Pb = P[None, :] if squeeze else P.reshape(-1, n)
-        g = numeric_supergradient_batch(bayes, Pb)
-        return g[0] if squeeze else g.reshape(P.shape)
+        flat = P.reshape(-1, n)
+        if not np.all((flat > 0) & np.isfinite(flat)):
+            raise ValueError("the dual M-sum loss needs finite, strictly positive points")
+        Q = flat / flat.max(axis=1, keepdims=True)
+        vals, U, L, w = _solve_splitting(combiner, parts, Q)
+        lam = _envelope_loss(U, L, w)
+        pairing = np.sum(lam * Q, axis=1)
+        if not np.all(pairing > 0):
+            raise ValueError("degenerate dual M-sum loss: <l(p), p> <= 0")
+        return (lam * (vals / pairing)[:, None]).reshape(P.shape)
 
     return ProperLoss(
-        bayes_risk=bayes,
+        bayes_risk=BayesRisk(rho, n),
         loss_map=loss_map,
         name=_compose_name(combiner, parts, "dual"),
         n=n,

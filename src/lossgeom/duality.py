@@ -31,8 +31,6 @@ from .geometry import (
     ProperLoss,
     SimplexGrid,
     _coerce,
-    _golden_max_rows,
-    _project_rows_capped_simplex,
     normalize_direction,
     simplex_grid,
 )
@@ -49,6 +47,41 @@ __all__ = [
 ]
 
 _MAX_NUMERIC_DIM = 5
+
+
+# ---------------------------------------------------------------------------
+# row-wise simplex searches
+# ---------------------------------------------------------------------------
+def _project_rows_capped_simplex(V: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Project each row of V onto {x >= 0, sum x = s_row} (Euclidean)."""
+    B, m = V.shape
+    U = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - s[:, None]
+    k = np.arange(1, m + 1)
+    cond = U - css / k > 0
+    rho_idx = m - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(B), rho_idx] / (rho_idx + 1)
+    return np.maximum(V - theta[:, None], 0.0)
+
+
+def _golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, iters: int):
+    """Row-wise golden-section maximization over [lo, hi]; one f call per
+    iteration, f maps a (B,) probe vector to (B,) values."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo.copy(), hi.copy()
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        left = fc >= fd  # maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        w = invphi * (b - a)
+        probe = np.where(left, b - w, a + w)
+        fp = f(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    t = np.where(fc >= fd, c, d)
+    return t, np.maximum(fc, fd)
 
 
 @dataclass(frozen=True)

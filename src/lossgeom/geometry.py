@@ -141,7 +141,7 @@ def _coerce(x, n: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# extended-real pairing, direction normalization, row-wise simplex searches
+# extended-real pairing, direction normalization
 # ---------------------------------------------------------------------------
 def inner(x, y) -> float:
     """Natural pairing sum_y x_y * y_y with the convention 0 * inf = 0."""
@@ -163,38 +163,6 @@ def normalize_direction(p, n: int | None = None) -> np.ndarray:
     if np.any(s <= 0):
         raise ValueError("cannot normalize the zero (or negative-mass) vector")
     return a / s
-
-
-def _project_rows_capped_simplex(V: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Project each row of V onto {x >= 0, sum x = s_row} (Euclidean)."""
-    B, m = V.shape
-    U = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - s[:, None]
-    k = np.arange(1, m + 1)
-    cond = U - css / k > 0
-    rho_idx = m - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(B), rho_idx] / (rho_idx + 1)
-    return np.maximum(V - theta[:, None], 0.0)
-
-
-def _golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, iters: int = 14):
-    """Row-wise golden-section maximization over [lo, hi]; one f call per
-    iteration, f maps a (B,) probe vector to (B,) values."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.copy(), hi.copy()
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        left = fc >= fd  # maximum lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        w = invphi * (b - a)
-        probe = np.where(left, b - w, a + w)
-        fp = f(probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    t = np.where(fc >= fd, c, d)
-    return t, np.maximum(fc, fd)
 
 
 # ---------------------------------------------------------------------------

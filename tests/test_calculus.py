@@ -16,6 +16,7 @@ from lossgeom.calculus import (
 )
 from lossgeom.duality import antipolar_bayes_risk
 from lossgeom.families import beta_gauge
+from lossgeom.geometry import numeric_supergradient_batch
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +147,114 @@ def test_dual_msum_three_parts():
     )
     p = np.array([0.4, 0.6])
     assert float(dual.rho(p)) == pytest.approx(float(log2.rho(p)) / 3.0, abs=1e-4)
+
+
+def _splitting_brute(combiner, parts, p, coarse=200, fine=40, levels=8):
+    """sup over splittings p = a1 + a2 of combiner(rho1(a1), rho2(a2)), n = 2.
+
+    a1 = (s p_0, t p_1) over a grid of (s, t) in [0, 1]^2; each level lays a
+    finer grid over the two cells on every side of the best point so far.
+    Every grid value is feasible, so the result is a lower bound; for smooth
+    combiners the concave objective makes it converge to the supremum.
+    """
+
+    def value(s, t):
+        S, T = np.meshgrid(s, t, indexing="ij")
+        a1 = np.stack([S * p[0], T * p[1]], axis=-1)
+        risks = np.stack(
+            [parts[0].bayes_risk(a1), parts[1].bayes_risk(p - a1)], axis=-1
+        )
+        return np.asarray(combiner.bayes_risk(np.maximum(risks, 0.0)))
+
+    s = t = np.linspace(0.0, 1.0, coarse + 1)
+    h = 1.0 / coarse
+    best = -np.inf
+    for _ in range(levels):
+        V = value(s, t)
+        i, j = np.unravel_index(int(np.argmax(V)), V.shape)
+        best = max(best, float(V[i, j]))
+        s = np.clip(np.linspace(s[i] - 2 * h, s[i] + 2 * h, fine + 1), 0.0, 1.0)
+        t = np.clip(np.linspace(t[j] - 2 * h, t[j] + 2 * h, fine + 1), 0.0, 1.0)
+        h = 4 * h / fine
+    return best
+
+
+_SPLIT_POINTS = np.vstack(
+    [lg.simplex_grid(2, 41).points, [[0.439, 0.561], [0.56, 0.44], [0.01, 0.99]]]
+)
+
+
+@pytest.mark.parametrize(
+    "combiner, smooth",
+    [
+        (lg.constant_loss(2), True),  # sum
+        (lg.cnorm_loss(0.5, 2), True),  # harmonic mean
+        (lg.cnorm_loss(1.0, 2), False),  # minimum
+        (lg.zero_one_loss(2), False),
+    ],
+    ids=["sum", "harmonic", "minimum", "zeroone"],
+)
+def test_dual_msum_matches_brute_force_splitting(combiner, smooth):
+    parts = (lg.log_loss(2), lg.brier_loss(2))
+    dual = dual_msum(MSumSpec(combiner, parts, mode="dual"))
+    P = _SPLIT_POINTS
+    rho = np.asarray(dual.rho(P))
+    brute = np.array([_splitting_brute(combiner, parts, p) for p in P])
+    if smooth:
+        np.testing.assert_allclose(rho, brute, rtol=1e-9, atol=0.0)
+    else:
+        # on a ridge the grid search only bounds the supremum from below; the
+        # solver may sit below the supremum by its certified gap (1e-12)
+        assert np.all(rho >= brute * (1.0 - 1e-12))
+    L = dual.loss(P)
+    fd = numeric_supergradient_batch(dual.bayes_risk, P)
+    assert np.max(np.abs(L - fd)) <= 1e-5
+    np.testing.assert_allclose(np.sum(L * P, axis=1), rho, rtol=1e-12, atol=0.0)
+
+
+def test_dual_msum_rows_do_not_depend_on_their_batch():
+    dual = dual_msum(
+        MSumSpec(lg.cnorm_loss(1.0, 2), (lg.log_loss(2), lg.brier_loss(2)), mode="dual")
+    )
+    t = np.array(
+        [
+            0.02262896016334217, 0.8431081055240666, 0.052242152293245775,
+            0.7204692285727463, 0.18862939577845664, 0.848651765455891,
+            0.539802771439128, 0.3077234149158894,
+        ]
+    )
+    P = np.column_stack([t, 1.0 - t])
+    rho, L = np.asarray(dual.rho(P)), dual.loss(P)
+    for k, p in enumerate(P):
+        assert np.array_equal(dual.rho(p), rho[k])
+        assert np.array_equal(dual.loss(p), L[k])
+    # each row is solved at p / max(p): a power-of-two scale leaves it
+    # bit-identical, other scales move it by the solver's accuracy
+    for alpha in (0.5, 2.0):
+        assert np.array_equal(dual.loss(alpha * P), L)
+    np.testing.assert_allclose(dual.loss(10.0 * P), L, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "combiner", [lg.constant_loss(2), lg.cnorm_loss(1.0, 2), lg.cnorm_loss(0.5, 2)]
+)
+def test_dual_msum_does_not_depend_on_part_order(combiner):
+    # under the sum combiner the brier part holds nothing at (0.5, 0.5): the
+    # loss must come from the parts that hold each outcome
+    P = np.vstack([lg.simplex_grid(2, 9).points, [[0.01, 0.99]]])
+    log_first = dual_msum(MSumSpec(combiner, (lg.log_loss(2), lg.brier_loss(2)), mode="dual"))
+    brier_first = dual_msum(MSumSpec(combiner, (lg.brier_loss(2), lg.log_loss(2)), mode="dual"))
+    np.testing.assert_allclose(brier_first.rho(P), log_first.rho(P), rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(brier_first.loss(P), log_first.loss(P), rtol=0.0, atol=1e-6)
+
+
+def test_dual_msum_loss_needs_interior_points():
+    dual = dual_msum(
+        MSumSpec(lg.cnorm_loss(0.5, 2), (lg.log_loss(2), lg.brier_loss(2)), mode="dual")
+    )
+    with pytest.raises(ValueError):
+        dual.loss([1.0, 0.0])
+    assert float(dual.rho([0.0, 0.0])) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,37 @@ def test_verify_dual_composition_relaxed_tolerances(capsys):
     assert properness["tol"] == pytest.approx(1e-4)  # numeric-pipeline default
 
 
+_MIN_DUAL = "msum:combiner=cnorm:a=1;parts=log,brier;mode=dual"
+_HARMONIC_DUAL = "msum:combiner=cnorm:a=0.5;parts=log,brier;mode=dual"
+
+
+@pytest.mark.parametrize("resolution", ["10", "25"])
+def test_verify_min_combiner_dual_passes(capsys, resolution):
+    # the optimum lies on the ridge of the minimum combiner
+    code, out, _ = run_cli(
+        capsys, "verify", "--loss", _MIN_DUAL, "--resolution", resolution
+    )
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_compose_dual_extreme_scale(capsys):
+    code, out, _ = run_cli(capsys, "compose", "--loss", _HARMONIC_DUAL, "--p", "1e300,1e300")
+    assert code == 0
+    huge = json.loads(out)
+    code, out, _ = run_cli(capsys, "compose", "--loss", _HARMONIC_DUAL, "--p", "1,1")
+    unit = json.loads(out)
+    assert huge["loss_vector"] == unit["loss_vector"]
+    assert huge["bayes_risk"] == pytest.approx(1e300 * unit["bayes_risk"], rel=1e-15)
+
+
+def test_compose_dual_boundary_point_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "compose", "--loss", _HARMONIC_DUAL, "--p", "1,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_normalize_log(capsys):
     code, out, _ = run_cli(capsys, "normalize", "--loss", "log")
     payload = json.loads(out)
