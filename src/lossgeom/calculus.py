@@ -16,12 +16,11 @@ of the Bayes-risk maximizer.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import antipolar_bayes_risk
+from .duality import _MAX_FREE, _ellipsoid, antipolar_bayes_risk
 from .geometry import (
     AntipolarHint,
     BayesRisk,
@@ -40,7 +39,6 @@ __all__ = [
     "shift_maximum",
 ]
 
-_DUAL_BUDGET = 8  # max free splitting coordinates n*(m-1)
 # certified relative gap at which a dual M-sum row stops; no tighter, since
 # a combiner's 1e-12 tie tolerance can make its bounds wrong by about that
 _DUAL_RTOL = 1e-12
@@ -118,84 +116,53 @@ def _solve_splitting(combiner, parts, P):
     """Maximize f = rho_M(rho_1(a_1), ..., rho_m(a_m)) over splittings
     a_1 + ... + a_m = p, a_i >= 0, for each row p of P (B, n).
 
-    The variables are the fractions u_i = a_i / p of the first m - 1 parts
-    (a_m takes the rest), in a product of n corner simplices in R^d,
-    d = n (m - 1), where f is concave.  Each row runs a central-cut
-    ellipsoid method E = {c + J z : |z| <= 1}, kept in the factor J so that
-    J J^T stays positive definite.  A centre with every u_(i,y) > 0 is cut by
-    the supergradient p_y (G_(i,y) - G_(m,y)), G_(i,y) = w_i l_i(a_i)_y with
-    w the combiner's loss at the part risks; any other centre by the normal
-    of its most violated (or touching) constraint, since l_i(a_i)_y may be
-    infinite there.  No cut loses a maximizer, so at every such centre
-    f(c) + |J^T g| (the supergradient inequality over E) and
-    sum_y p_y max_i G_(i,y) (the Frank-Wolfe bound) bound the supremum.  A
-    row stops once its best bound is within _DUAL_RTOL of its best value,
-    or after a number of cuts set by d.
+    f is concave in the fractions u_(i,y) = a_(i,y) / p_y, a point of a
+    product of n simplices with m vertices each, over which
+    ``duality._ellipsoid`` runs.  A centre inside is cut by the
+    supergradient p_y G_(i,y), G_(i,y) = w_i l_i(a_i)_y with w the
+    combiner's loss at the part risks, to the depth by which f(c) falls
+    short of the best value.  No cut loses a maximizer, so f(c) + |J^T g|
+    (the supergradient inequality over E) and sum_y p_y max_i G_(i,y) (the
+    Frank-Wolfe bound) bound the supremum; a row stops once its best bound
+    is within _DUAL_RTOL of its best value.
 
     Returns the best values (B,) and, at the centres that reached them, the
     fractions (B, m, n), part loss vectors (B, m, n) and combiner loss (B, m).
     """
     m, (B, n) = len(parts), P.shape
-    d = (m - 1) * n
-    # the ball about the equal split through the farthest simplex vertices
-    radius = math.sqrt(n * (m * m - m - 1)) / m
-    grow = d / math.sqrt(d * d - 1.0)
-    shrink = math.sqrt((d - 1.0) / (d + 1.0)) - 1.0
-    cap = 4 * d * (d + 1) * math.ceil(math.log(1.0 / _DUAL_RTOL))
-    C = np.full((B, d), 1.0 / m)
-    J = np.broadcast_to(radius * np.eye(d), (B, d, d)).copy()
     best, upper = np.full(B, -np.inf), np.full(B, np.inf)
     best_U, best_L, best_w = np.empty((B, m, n)), np.empty((B, m, n)), np.empty((B, m))
-    done = np.zeros(B, dtype=bool)
-    for _ in range(cap):
-        act = np.flatnonzero(~done)
-        if act.size == 0:
-            break
-        c, Jk, p = C[act], J[act], P[act]
-        k = act.size
-        U = c.reshape(k, m - 1, n)
-        U = np.concatenate([U, 1.0 - U.sum(axis=1, keepdims=True)], axis=1)
-        worst = np.argmin(U.reshape(k, m * n), axis=1)
-        # the gradient of u_(worst) in the free coordinates
-        E = np.zeros((k, m * n))
-        E[np.arange(k), worst] = 1.0
-        E = E.reshape(k, m, n)
-        g = E[:, :-1] - E[:, -1:]
-        rows = np.flatnonzero(U.reshape(k, m * n)[np.arange(k), worst] > 0)
-        if rows.size:
-            pr = p[rows]
-            A = U[rows] * pr[:, None, :]
-            risks = np.stack(
-                [part.bayes_risk(A[:, i]) for i, part in enumerate(parts)], axis=-1
-            ).clip(min=0.0)  # rounding leaves -1e-17 where a risk vanishes
-            val = np.asarray(combiner.bayes_risk(risks), dtype=np.float64)
-            # a concave risk >= 0 that vanishes inside a face vanishes on all
-            # of it, so where every part risk is 0, f = 0 at every split
-            w = np.zeros_like(risks)
-            live = np.sum(risks, axis=-1) > 0
-            w[live] = combiner.loss(risks[live])
-            L = np.stack([part.loss(A[:, i]) for i, part in enumerate(parts)], axis=1)
-            with np.errstate(invalid="ignore"):  # 0 * inf where p_y = 0
-                G = np.where(w[:, :, None] > 0, w[:, :, None] * L, 0.0)
-                dG = pr[:, None, :] * (G[:, :-1] - G[:, -1:])
-                g[rows] = np.where(pr[:, None, :] > 0, dG, 0.0)
-                fw = np.sum(np.where(pr > 0, pr * G.max(axis=1), 0.0), axis=-1)
-        h = np.sum(Jk * g.reshape(k, d, 1), axis=1)
-        nh = np.sqrt(np.sum(h * h, axis=1))
-        if rows.size:
-            at = act[rows]
-            upper[at] = np.minimum(upper[at], np.minimum(val + nh[rows], fw))
-            better = val > best[at]
-            took = at[better]
-            best[took] = val[better]
-            best_U[took], best_L[took] = U[rows][better], L[better]
-            best_w[took] = w[better]
-        # nh = 0 only where g = 0 at a centre inside, which is then optimal
-        hh = h / np.where(nh > 0, nh, 1.0)[:, None]
-        b = np.sum(Jk * hh[:, None, :], axis=2)
-        C[act] = c + b / (d + 1.0)
-        J[act] = grow * (Jk + shrink * b[:, :, None] * hh[:, None, :])
-        done[act] = upper[act] - best[act] <= _DUAL_RTOL * np.abs(best[act])
+
+    def cut(rows, c, J):
+        p = P[rows]
+        U = c.reshape(-1, m, n)
+        A = U * p[:, None, :]
+        risks = np.stack(
+            [part.bayes_risk(A[:, i]) for i, part in enumerate(parts)], axis=-1
+        ).clip(min=0.0)  # rounding leaves -1e-17 where a risk vanishes
+        val = np.asarray(combiner.bayes_risk(risks), dtype=np.float64)
+        # a concave risk >= 0 that vanishes inside a face vanishes on all
+        # of it, so where every part risk is 0, f = 0 at every split
+        w = np.zeros_like(risks)
+        live = np.sum(risks, axis=-1) > 0
+        w[live] = combiner.loss(risks[live])
+        L = np.stack([part.loss(A[:, i]) for i, part in enumerate(parts)], axis=1)
+        with np.errstate(invalid="ignore"):  # 0 * inf where p_y = 0
+            G = np.where(w[:, :, None] > 0, w[:, :, None] * L, 0.0)
+            g = np.where(p[:, None, :] > 0, p[:, None, :] * G, 0.0)
+            fw = np.sum(np.where(p > 0, p * G.max(axis=1), 0.0), axis=-1)
+        better = val > best[rows]
+        took = rows[better]
+        best[took] = val[better]
+        best_U[took], best_L[took], best_w[took] = U[better], L[better], w[better]
+        # J^T g, summed over outcomes first: see duality._ellipsoid
+        h = (J.reshape(-1, m, n, J.shape[2]) * g[..., None]).sum(axis=2).sum(axis=1)
+        upper[rows] = np.minimum(upper[rows], np.minimum(val + np.sqrt((h * h).sum(axis=1)), fw))
+        done = upper[rows] - best[rows] <= _DUAL_RTOL * np.abs(best[rows])
+        # keep <g, z - c> >= best - f(c), where f >= best
+        return -h, best[rows] - val, done
+
+    _ellipsoid(B, m, n, _DUAL_RTOL, cut)
     return best, best_U, best_L, best_w
 
 
@@ -254,9 +221,9 @@ def dual_msum(spec: MSumSpec) -> ProperLoss:
     combiner, parts = spec.combiner, spec.parts
     m = len(parts)
     n = parts[0].n
-    if n * (m - 1) > _DUAL_BUDGET:
+    if n * (m - 1) > _MAX_FREE:
         raise ValueError(
-            f"splitting budget exceeded: n*(m-1) = {n * (m - 1)} > {_DUAL_BUDGET}"
+            f"splitting budget exceeded: n*(m-1) = {n * (m - 1)} > {_MAX_FREE}"
         )
 
     def rho(P):

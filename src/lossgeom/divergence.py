@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from ._kernels import worst_properness_violation
-from .duality import antipolar_bayes_risk, check_pseudo_inverse
+from .duality import _antipolar_values, check_pseudo_inverse
 from .geometry import (
     ProperLoss,
     SimplexGrid,
@@ -303,21 +303,18 @@ def verify_all(
     else:
         checks.append(CheckResult("pseudo_inverse", None, None, "skipped: not strictly proper", None))
 
-    # reverse Hoelder on sampled superprediction points; each sample costs a
-    # full antipolar minimization, so this check only runs when rho itself is
-    # closed form
+    # reverse Hoelder on sampled superprediction points, whose antipolars are
+    # solved as one batch; a sample costs a full antipolar minimization, so
+    # this check only runs when rho itself is closed form
     if loss.analytic:
         rng = np.random.default_rng(seed)
-        n_samples = min(12, G)
-        sample_idx = rng.choice(G, size=n_samples, replace=False)
+        sample_idx = rng.choice(G, size=min(12, G), replace=False)
+        sample_idx = sample_idx[np.all(np.isfinite(L[sample_idx]), axis=1)]
+        X = L[sample_idx] + rng.uniform(0.0, 0.5, size=(sample_idx.size, loss.n))
         worst_rh = -np.inf
         wit_rh = None
         rh_tol = 1e-6
-        for si in sample_idx:
-            if not np.all(np.isfinite(L[si])):
-                continue
-            x = L[si] + rng.uniform(0.0, 0.5, size=loss.n)
-            apolar_val = antipolar_bayes_risk(loss, x).value
+        for x, apolar_val in zip(X, _antipolar_values(loss, X)):
             viol = float(np.max(apolar_val * rho_vals - P @ x))
             if viol > worst_rh:
                 worst_rh, wit_rh = viol, {"x": x.tolist()}

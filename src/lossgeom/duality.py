@@ -6,14 +6,13 @@ The antipolar Bayes risk of a loss with Bayes risk rho is
     rho^(x) = inf_{q != 0} <x; q> / rho(q),
 
 the concave-gauge polar.  Closed forms are used when the loss carries a
-hint; otherwise the infimum is taken numerically over the simplex by one
-solver batched over queries: golden-section for n = 2; for 3 <= n <= 5,
-projected descent from the best points of a seed grid, then a pattern
-polish whose face moves (one coordinate set to 0) reach minimizers on a
-face of the simplex.  The objective is quasi-convex, so local search from a
-dense seed grid suffices at this scale, and each result is cross-checked
-against a verification grid.  Each query is solved once: the antipolar loss
-map, ``substitute`` and the CLI read their selection off that minimizer.
+hint; otherwise the infimum is taken numerically over the simplex, for up
+to nine outcomes, by one solver batched over queries.  The ratio is
+quasi-convex, so an ellipsoid method cutting with the loss map (the one the
+dual M-sum of ``calculus`` runs) locates its minimum and proves a lower
+bound, which each result carries as its certificate; descent and a snap
+onto ties refine the minimizer.  Each query is solved once: the antipolar
+loss map, ``substitute`` and the CLI read their selection off it.
 
 The attained minimizer q* doubles as the supergradient of rho^ at x via the
 envelope identity  d rho^(x) = q* / rho(q*),  which is how numeric antipolar
@@ -22,6 +21,7 @@ loss maps are evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,42 +46,58 @@ __all__ = [
     "check_pseudo_inverse",
 ]
 
-_MAX_NUMERIC_DIM = 5
+_MAX_FREE = 8  # free coordinates of one ellipsoid solve, here and in the dual M-sum
 
 
 # ---------------------------------------------------------------------------
-# row-wise simplex searches
+# the ellipsoid method, batched over rows
 # ---------------------------------------------------------------------------
-def _project_rows_capped_simplex(V: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Project each row of V onto {x >= 0, sum x = s_row} (Euclidean)."""
-    B, m = V.shape
-    U = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - s[:, None]
-    k = np.arange(1, m + 1)
-    cond = U - css / k > 0
-    rho_idx = m - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(B), rho_idx] / (rho_idx + 1)
-    return np.maximum(V - theta[:, None], 0.0)
-
-
-def _golden_max_rows(f, lo: np.ndarray, hi: np.ndarray, iters: int):
-    """Row-wise golden-section maximization over [lo, hi]; one f call per
-    iteration, f maps a (B,) probe vector to (B,) values."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.copy(), hi.copy()
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        left = fc >= fd  # maximum lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        w = invphi * (b - a)
-        probe = np.where(left, b - w, a + w)
-        fp = f(probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    t = np.where(fc >= fd, c, d)
-    return t, np.maximum(fc, fd)
+def _ellipsoid(B: int, m: int, k: int, rtol: float, cut) -> None:
+    """Deep-cut ellipsoid method on B rows over a product of k simplices
+    with m vertices each, whose points are (m, k) arrays, flattened, with
+    columns in the simplices.  E = {c + J u : |u| <= 1} starts as the ball
+    about the barycentre through the farthest vertices, in the affine span
+    (d = k (m - 1) dimensions).  ``cut(rows, C, J)`` takes the rows whose
+    centres have every coordinate > 0, with those centres and factors, and
+    returns h = J^T a, the depths of cuts that keep <a, z - c> <= -depth,
+    and which of the rows are done.  Any other centre is cut by the normal
+    of its most violated (or touching) constraint, to the depth -min c,
+    since loss vectors may be infinite there.  A row stops when done or
+    after a number of cuts set by rtol and d.  Depths over |h| are clipped
+    to [-1/d, 0.999]: at -1/d E stays as it is, and a cut deeper than 1
+    keeps nothing of E, which the caller's bounds certify.  Updating the
+    factor J keeps J J^T positive definite."""
+    d = k * (m - 1)
+    # J maps the first m - 1 coordinates of every column; the last takes the rest
+    J = math.sqrt(k * (m * m - m - 1)) / m * np.vstack([np.eye(d), -np.tile(np.eye(k), m - 1)])
+    C, J = np.full((B, m * k), 1.0 / m), np.tile(J, (B, 1, 1))
+    # E keeps its axes across a cut and scales them by perp, and its axis
+    # along the cut by d (1 - alpha) / (d + 1); at d = 1 there are no others
+    perp_0 = d / math.sqrt(d * d - 1.0) if d > 1 else 0.0
+    rows = np.arange(B)  # the rows still cutting, whose state C and J hold
+    for _ in range(4 * d * (d + 1) * math.ceil(math.log(1.0 / rtol))):
+        r = np.arange(rows.size)
+        worst = np.argmin(C, axis=1)
+        low = C[r, worst]
+        h, depth, done = -J[r, worst], -low, np.zeros(rows.size, dtype=bool)
+        ins = np.flatnonzero(low > 0)
+        if ins.size:
+            h[ins], depth[ins], done[ins] = cut(rows[ins], C[ins], J[ins])
+        # |h| = 0 only at a stationary centre, which cut settles; sums of
+        # products (no fused multiply-add) keep a symmetric problem exactly
+        # symmetric, so E never stretches along an axis that no cut sees
+        nh = np.maximum(np.sqrt((h * h).sum(axis=1)), 1e-300)
+        hh = h / nh[:, None]
+        alpha = np.minimum(np.maximum(depth / nh, -1.0 / d), 0.999)
+        b = (J * hh[:, None, :]).sum(axis=2)
+        C = C - b * ((1.0 + d * alpha) / (d + 1.0))[:, None]
+        along = d / (d + 1.0) * (1.0 - alpha)
+        perp = perp_0 * np.sqrt(1.0 - alpha * alpha)
+        J = perp[:, None, None] * J + ((along - perp)[:, None] * b)[:, :, None] * hh[:, None, :]
+        if done.any():
+            rows, C, J = rows[~done], C[~done], J[~done]
+            if rows.size == 0:
+                break
 
 
 @dataclass(frozen=True)
@@ -91,36 +107,89 @@ class AntipolarResult:
     value: float
     minimizer: np.ndarray  # point of the closed simplex
     method: str  # "closed_form" | "numeric"
-    certified_gap: float  # excess of the solver value over the best grid value
+    certified_gap: float  # value minus a proven lower bound on the infimum
 
 
 # ---------------------------------------------------------------------------
 # numeric minimization of q -> <x;q>/rho(q), batched over queries x
 # ---------------------------------------------------------------------------
 _CHUNK = 32  # queries solved together; bounds the solver's memory for any B
-_STARTS = 20  # descent starts per query, the best seeds of the seed grid
+# relative gap at which a row stops cutting: 1e-11, less the 1e-12 by which a
+# value read off a loss map that splits a tie can undershoot one read off rho
+_STOP = 9e-12
 _STEPS = 0.5 ** np.arange(30)  # backtracking step sizes, tried as one block
+_SNAP = 1e-9  # closeness at which coordinates are snapped to a face or a tie
 
 
-def _ratio(loss: ProperLoss, X: np.ndarray, Q: np.ndarray, den=None) -> np.ndarray:
+def _ratio(loss: ProperLoss, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """<x;q>/rho(q), +inf where rho(q) <= 0, for each query row x of X (R, n)
-    against one block of points per query, Q (R, M, n), or one shared set
-    Q (G, n) whose Bayes risks ``den`` the caller passes."""
-    if den is None:
-        den = np.reshape(loss.bayes_risk(Q.reshape(-1, loss.n)), Q.shape[:-1])
+    against one block of points per query, Q (R, M, n)."""
+    den = np.reshape(loss.bayes_risk(Q.reshape(-1, loss.n)), Q.shape[:-1])
     num = (X[:, None, :] * Q).sum(axis=-1)
     return np.divide(num, den, out=np.full(num.shape, np.inf), where=den > 0)
 
 
-def _descend(loss: ProperLoss, X: np.ndarray, Q: np.ndarray, V: np.ndarray,
-             iters: int = 300) -> None:
+def _project_rows_simplex(V: np.ndarray) -> np.ndarray:
+    """Project each row of V onto the simplex {x >= 0, sum x = 1} (Euclidean)."""
+    B, m = V.shape
+    U = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - 1.0
+    k = np.arange(1, m + 1)
+    cond = U - css / k > 0
+    rho_idx = m - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(B), rho_idx] / (rho_idx + 1)
+    return np.maximum(V - theta[:, None], 0.0)
+
+
+def _cut_ratio(loss: ProperLoss, X: np.ndarray):
+    """Cutting planes for min <x;q>/rho(q) over the simplex, for each row x of
+    X (B, n); returns the best centres (B, n) and proven lower bounds (B,).
+
+    A centre c inside the simplex is cut by g = x - t l(c), t the best value
+    so far: as rho(q) <= <l(c), q> for every q, each q with <x;q>/rho(q) < t
+    has <g, q> < 0, kinks or not, so the cut keeps every better point (the
+    ratio is quasi-convex).  Its depth is <g, c>, which is not 0 where l
+    splits a tie and <l(c), c> misses rho(c).  At each such centre two
+    bounds hold for every q:
+      * over E, <g, q> >= <g, c> - |J^T g| and <x;q> >= s, s the larger of
+        min_y x_y and <x, c> - |J^T x|, so the ratio is at least
+        t / (1 + max(|J^T g| - <g, c>, 0) / s);
+      * <x;q>/rho(q) >= <x;q>/<l(c), q> >= min_y x_y / l_y(c).
+    Values are read as <x;c>/<l(c), c>, one loss-map call per cut."""
+    B, n = X.shape
+    best, lower, best_Q = np.full(B, np.inf), np.zeros(B), np.full((B, n), 1.0 / n)
+
+    def cut(rows, Q, J):
+        x = X[rows]
+        L = loss.loss_map(Q)
+        num = (x * Q).sum(axis=1)
+        val, prev = num / (L * Q).sum(axis=1), best[rows]
+        better = val < prev
+        best[rows] = t = np.minimum(val, prev)
+        best_Q[rows[better]] = Q[better]
+        g = x - t[:, None] * L
+        depth = (g * Q).sum(axis=1)
+        H = np.stack([g, x], axis=1) @ J  # J^T g, J^T x
+        spread = np.sqrt((H * H).sum(axis=2))
+        s = np.maximum(x.min(axis=1), num - spread[:, 1])
+        by_level = t / (1.0 + np.maximum(spread[:, 0] - depth, 0.0) / s)
+        by_vector = np.fmin.reduce(x / L, axis=1)
+        lower[rows] = bound = np.fmax(lower[rows], np.fmax(by_level, by_vector))
+        return H[:, 0], depth, t - bound <= _STOP * t
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _ellipsoid(B, n, 1, _STOP, cut)
+    return best_Q, lower
+
+
+def _descend(loss: ProperLoss, X: np.ndarray, Q: np.ndarray, V: np.ndarray) -> None:
     """Projected gradient descent on the simplex from each row of Q (values
     V), in place.  A row takes the first of its backtracking steps that
     improves by more than 1e-15, and stops when none does, when the step is
     shorter than 1e-13 or when its gradient is not finite."""
     n = Q.shape[1]
     live = np.isfinite(V)
-    for _ in range(iters):
+    for _ in range(300):
         if not np.any(live):
             break
         idx = np.flatnonzero(live)
@@ -132,7 +201,7 @@ def _descend(loss: ProperLoss, X: np.ndarray, Q: np.ndarray, V: np.ndarray,
         live[idx[~ok]] = False
         idx, q, grad = idx[ok], q[ok], grad[ok]
         C = (q[:, None, :] - _STEPS[:, None] * grad[:, None, :]).reshape(-1, n)
-        C = _project_rows_capped_simplex(C, np.ones(C.shape[0]))
+        C = _project_rows_simplex(C)
         C = np.maximum(C, 1e-14).reshape(idx.size, _STEPS.size, n)
         C /= C.sum(axis=-1, keepdims=True)
         cv = _ratio(loss, X[idx], C)
@@ -144,86 +213,43 @@ def _descend(loss: ProperLoss, X: np.ndarray, Q: np.ndarray, V: np.ndarray,
         live[idx[~moved | settled]] = False
 
 
-def _polish(loss: ProperLoss, X: np.ndarray, Q: np.ndarray, V: np.ndarray) -> None:
-    """Pattern search on the simplex from each row of Q (values V), in place.
-
-    A sweep tries every transfer of delta mass between two coordinates and
-    every face move (one coordinate set to 0, the rest renormalised), and
-    takes the best that improves; without one, delta halves.  Face moves
-    reach minimizers on a face, such as the tie ridges of argmax losses,
-    that shrinking transfers only approach.  A row stops at delta <= 1e-13
-    or after 4000 evaluations."""
-    eye = np.eye(Q.shape[1])
-    gain, give = np.nonzero(eye == 0)
-    delta, budget = np.full(Q.shape[0], 0.25), np.full(Q.shape[0], 4000)
-    live = np.ones(Q.shape[0], dtype=bool)
-    while np.any(live):
-        idx = np.flatnonzero(live)
-        q, d = Q[idx], delta[idx, None]
-        faces = q[:, None, :] * (1.0 - eye)
-        mass = faces.sum(axis=-1)
-        C = np.hstack([q[:, None, :] + d[:, :, None] * (eye[gain] - eye[give]),
-                       faces / np.where(mass > 0, mass, 1.0)[..., None]])
-        ok = np.hstack([q[:, give] - d > 1e-15, (q > 0) & (mass > 0)])
-        cv = np.where(ok, _ratio(loss, X[idx], C), np.inf)
-        k = np.argmin(cv, axis=1)
-        best = cv[np.arange(idx.size), k]
-        take = best < V[idx]
-        Q[idx[take]], V[idx[take]] = C[take, k[take]], best[take]
-        delta[idx[~take]] *= 0.5
-        budget[idx] -= ok.sum(axis=1)
-        live = (delta > 1e-13) & (budget > 0)
-
-
 def _minimize_ratio(loss: ProperLoss, X: np.ndarray):
     """Minimize <x;q>/rho(q) over the simplex for each row x of X (B, n);
-    returns per-row values (B,), minimizers (B, n) and certified gaps (B,).
-
-    n = 2: golden-section search; 3 <= n <= 5: projected descent from the
-    best seeds of a simplex grid, then a pattern polish.  Each result is
-    checked against a verification grid and polished again from the grid
-    point where the grid wins.  Rows are solved in chunks of ``_CHUNK``, and
-    a row's result does not depend on the other rows."""
+    returns per-row values (B,), minimizers (B, n) and certified gaps (B,),
+    each the value minus a proven lower bound.  Rows are solved in chunks of
+    ``_CHUNK``, and a row's result does not depend on the other rows."""
     n = loss.n
-    if n > _MAX_NUMERIC_DIM:
+    if n - 1 > _MAX_FREE:
         raise ValueError(
-            f"numeric antipolar supports dimensions 2..{_MAX_NUMERIC_DIM}, got {n}"
+            f"numeric antipolar supports dimensions 2..{_MAX_FREE + 1}, got {n}"
         )
     X = np.asarray(X, dtype=np.float64).reshape(-1, n)
-    verify = simplex_grid(n, 2000 if n == 2 else 24).points
-    verify_risk = loss.bayes_risk(verify)
-    if n > 2:
-        seeds = simplex_grid(n, 12).points
-        seed_risk = loss.bayes_risk(seeds)
     out = (np.empty(X.shape[0]), np.empty(X.shape), np.empty(X.shape[0]))
     for start in range(0, X.shape[0], _CHUNK):
-        Xc = X[start:start + _CHUNK]
-        rows = np.arange(Xc.shape[0])
-        if n == 2:  # golden section over q = (t, 1 - t), maximizing -ratio
-            to_q = lambda t: np.array([t, 1.0 - t]).T
-            f = lambda t: -_ratio(loss, Xc, to_q(t)[:, None])[:, 0]
-            a, b = np.full(len(Xc), 1e-9), np.full(len(Xc), 1.0 - 1e-9)
-            t, v = _golden_max_rows(f, a, b, iters=80)
-            q, v = to_q(t), -v
-        else:
-            seed_vals = _ratio(loss, Xc, seeds, seed_risk)
-            order = np.argsort(seed_vals, axis=1)[:, :_STARTS]
-            Qs, Vs = seeds[order], seed_vals[rows[:, None], order]
-            _descend(loss, np.repeat(Xc, _STARTS, axis=0), Qs.reshape(-1, n),
-                     Vs.reshape(-1))
-            best = np.argmin(Vs, axis=1)
-            q, v = Qs[rows, best], Vs[rows, best]
-            _polish(loss, Xc, q, v)
-        grid = _ratio(loss, Xc, verify, verify_risk)
-        k = np.argmin(grid, axis=1)
-        grid_val = grid[rows, k]
-        gap = np.fmax(v - grid_val, 0.0)
-        win = grid_val < v
-        if np.any(win):
-            q_win, v_win = verify[k[win]], grid_val[win]
-            _polish(loss, Xc[win], q_win, v_win)
-            q[win], v[win] = q_win, v_win
-        for dest, part in zip(out, (v, q, gap)):
+        # the ratio is 1-homogeneous in x, so each row is solved at x / max(x)
+        # and no scale overflows or underflows
+        scale = X[start:start + _CHUNK].max(axis=1)
+        scale[scale <= 0] = 1.0
+        Xc = X[start:start + _CHUNK] / scale[:, None]
+        q, lower = _cut_ratio(loss, Xc)
+        v = _ratio(loss, Xc, q[:, None])[:, 0]
+        _descend(loss, Xc, q, v)
+        # kinked minimizers, such as the tie ridges of argmax losses, lie on
+        # faces and ties that cuts and descent only approach: where no worse,
+        # coordinates within _SNAP of 0 or of each other are snapped there
+        S = np.where(q <= _SNAP * q.max(axis=1, keepdims=True), 0.0, q)
+        near = np.abs(S[:, :, None] - S[:, None, :]) <= _SNAP
+        S = np.sum(near * S[:, None, :], axis=2) / np.sum(near, axis=2)
+        S /= S.sum(axis=1, keepdims=True)
+        sv = _ratio(loss, Xc, S[:, None])[:, 0]
+        keep = sv <= v
+        q[keep], v[keep] = S[keep], sv[keep]
+        # a bound that meets the value can pass it by a rounding error; one
+        # past it by more was read off values that lost their precision (in
+        # the cancellation near a vertex), so it is dropped for the bound 0
+        gap = v - lower
+        gap = np.where(gap >= -1e-15 * v, np.maximum(gap, 0.0), v)
+        for dest, part in zip(out, (v * scale, q, gap * scale)):
             dest[start:start + Xc.shape[0]] = part
     return out
 
@@ -236,10 +262,12 @@ def antipolar_bayes_risk(loss: ProperLoss, x, method: str = "auto") -> Antipolar
 
     ``method='auto'`` uses the loss's closed form when available (falling
     back to minimization at its singular points), ``'closed_form'`` requires
-    one, ``'numeric'`` forces minimization.  ``certified_gap`` is the amount
-    by which the best verification-grid value beat the solver (0 when the
-    solver was at least as good; for closed forms, the mismatch against the
-    numeric cross-check when one was run).
+    one, ``'numeric'`` forces minimization.  A numeric ``certified_gap`` is
+    the value minus a proven lower bound on the infimum: at most 1e-11 of
+    the value, or all of it where the loss lost the precision a bound needs
+    (an infimum reached only in the limit at a vertex).  A closed form's is
+    0, or its mismatch against the numeric cross-check when one was run for
+    the minimizer.
     """
     xa = _coerce(x, loss.n)
     if np.any(xa < 0) or not np.any(xa > 0):
@@ -273,6 +301,21 @@ def antipolar_bayes_risk(loss: ProperLoss, x, method: str = "auto") -> Antipolar
     return AntipolarResult(float(vals[0]), q[0], "numeric", float(gaps[0]))
 
 
+def _antipolar_values(loss: ProperLoss, X: np.ndarray) -> np.ndarray:
+    """``antipolar_bayes_risk(loss, x).value`` for each row x of X (B, n): the
+    closed form where it is finite, and one batched numeric solve for the
+    rows without one (no closed form, or one of its 0/0 points)."""
+    hint = loss.antipolar_hint
+    if hint is not None and hint.rho is not None:
+        vals = np.array(hint.rho(X), dtype=np.float64)
+    else:
+        vals = np.full(X.shape[0], np.nan)
+    singular = ~np.isfinite(vals)
+    if np.any(singular):
+        vals[singular] = _minimize_ratio(loss, X[singular])[0]
+    return vals
+
+
 def antipolar_loss(loss: ProperLoss) -> ProperLoss:
     """The antipolar (inverse) loss as a full ProperLoss.
 
@@ -291,15 +334,7 @@ def antipolar_loss(loss: ProperLoss) -> ProperLoss:
 
     def rho_fn(P):
         P = np.asarray(P, dtype=np.float64)
-        flat = P.reshape(-1, n)
-        if hint is not None and hint.rho is not None:
-            vals = np.array(hint.rho(flat), dtype=np.float64)
-        else:
-            vals = np.full(flat.shape[0], np.nan)
-        singular = np.isnan(vals)  # no closed form, or one of its 0/0 points
-        if np.any(singular):
-            vals[singular] = _minimize_ratio(loss, flat[singular])[0]
-        return vals.reshape(P.shape[:-1])
+        return _antipolar_values(loss, P.reshape(-1, n)).reshape(P.shape[:-1])
 
     if hint is not None and hint.loss_map is not None:
         map_fn = hint.loss_map

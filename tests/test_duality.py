@@ -303,12 +303,84 @@ def _queries(loss, count, seed):
 def test_solver_reaches_closed_lattice_minimum(spec, n, resolution):
     loss = lg.build_loss(lg.parse_loss_spec(spec), n)
     X = _queries(loss, 20, seed=n)
+    _assert_certified_against_lattice(loss, X, resolution)
+
+
+def _assert_certified_against_lattice(loss, X, resolution):
+    """The values reach the closed-lattice minimum, and each value minus its
+    gap is a lower bound on it: 0 <= gap <= 1e-11 * value."""
     values, minimizers, gaps = duality._minimize_ratio(loss, X)
-    best = _lattice_min(loss, X, _closed_lattice(n, resolution))
+    best = _lattice_min(loss, X, _closed_lattice(loss.n, resolution))
     assert np.all(values <= best * (1.0 + 1e-9)), np.max(values / best - 1.0)
-    assert np.all(gaps == 0.0)
+    assert np.all((gaps >= 0.0) & (gaps <= 1e-11 * values)), np.max(gaps / values)
+    assert np.all(values - gaps <= best * (1.0 + 1e-15)), np.max((values - gaps) / best - 1.0)
     np.testing.assert_allclose(minimizers.sum(axis=1), 1.0, atol=1e-12)
     assert minimizers.min() >= 0.0
+
+
+@pytest.mark.parametrize("n,resolution,seed", [(4, 60, 101), (5, 30, 102)])
+@pytest.mark.parametrize("spec", SOLVER_SPECS)
+def test_solver_reaches_lattice_minimum_on_three_way_ties(spec, n, resolution, seed):
+    # these seeds hold minimizers where three or more coordinates tie, which
+    # a local search that moves mass between two coordinates misses
+    loss = lg.build_loss(lg.parse_loss_spec(spec), n)
+    _assert_certified_against_lattice(loss, _queries(loss, 40, seed=seed), resolution)
+
+
+@pytest.mark.parametrize("spec", ["brier", "zeroone", "normloss:alpha=1"])
+def test_solver_reaches_lattice_minimum_at_six_outcomes(spec):
+    loss = lg.build_loss(lg.parse_loss_spec(spec), 6)
+    _assert_certified_against_lattice(loss, _queries(loss, 10, seed=6), 12)
+
+
+def test_solver_rejects_ten_outcomes():
+    loss = lg.brier_loss(10)
+    with pytest.raises(ValueError):
+        duality._minimize_ratio(loss, np.ones((1, 10)))
+
+
+def test_solver_zero_one_three_way_tie():
+    loss = lg.zero_one_loss(5)
+    x = np.array([0.06702084862358237, 1.2015564932235647, 1.1017276203380748,
+                  1.1311566702209248, 1.3751823363150262])
+    res = antipolar_bayes_risk(loss, x)
+    # attained at (1/3, 0, 1/3, 1/3, 0): (x_0 + x_2 + x_3) / 3 / (1 - 1/3)
+    assert res.value == pytest.approx(1.1499525695912907, rel=1e-11)
+    assert 0.0 <= res.certified_gap <= 1e-11 * res.value
+    np.testing.assert_allclose(res.minimizer, [1 / 3, 0, 1 / 3, 1 / 3, 0], atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", ["brier", "normloss:alpha=2", "log"])
+def test_solver_minimizer_accuracy(spec, n, rng):
+    # at x = c l(p) the ratio is least at q = p, with value c, for a strictly
+    # proper loss: x = f l(q) is the stationarity condition on the cone
+    loss = lg.build_loss(lg.parse_loss_spec(spec), n)
+    P = interior_points(n, 12, rng, margin=0.05)
+    c = rng.uniform(0.5, 2.0, len(P))
+    values, minimizers, _ = duality._minimize_ratio(loss, c[:, None] * loss.loss(P))
+    assert np.max(np.abs(minimizers - P)) <= 1e-7
+    np.testing.assert_allclose(values, c, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600])
+@pytest.mark.parametrize("spec", ["brier:n=2", "normloss:alpha=1,n=3"])
+def test_solver_is_homogeneous_at_extreme_scales(spec, scale):
+    # a power of 2 scales exactly, so the rows match bit for bit
+    loss = lg.build_loss(lg.parse_loss_spec(spec))
+    X = _queries(loss, 4, seed=12)
+    values, minimizers, gaps = duality._minimize_ratio(loss, X)
+    scaled = duality._minimize_ratio(loss, scale * X)
+    for got, want in zip(scaled, (scale * values, minimizers, scale * gaps)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_solver_claims_no_bound_where_the_loss_loses_precision():
+    # the infimum 0.5 is reached only as q -> (1, 0, 0), where the Brier
+    # terms 1 - |q|^2 cancel; a bound read off them passes the infimum
+    values, _, gaps = duality._minimize_ratio(lg.brier_loss(3), np.array([[0.0, 1.0, 1.0]]))
+    assert values[0] == pytest.approx(0.5, abs=1e-7)
+    assert values[0] - gaps[0] <= 0.5
 
 
 @pytest.mark.parametrize("spec", ["brier:n=3", "zeroone:n=3", "log:n=2"])
@@ -335,14 +407,15 @@ def test_solver_memory_does_not_grow_with_the_batch():
 
 
 def test_zero_one_ridge_minimizer_on_the_face():
-    # the minimizer (0, 1/2, 1/2) lies on a face, which transfers of
-    # shrinking mass only approach; the face move reaches it exactly
+    # the minimizer (0, 1/2, 1/2) lies on a face and a tie, which cuts and
+    # descent only approach; the final snap reaches it exactly
     loss = lg.zero_one_loss(3)
     x = np.array([1.445137176002396, 0.11357879676668986, 1.3115935723430212])
     res = antipolar_bayes_risk(loss, x)
     assert res.value == pytest.approx(1.4251723691097111, rel=1e-15)
     np.testing.assert_allclose(res.minimizer, [0.0, 0.5, 0.5], atol=1e-15)
-    assert res.certified_gap == 0.0
+    assert 0.0 <= res.certified_gap <= 1e-11 * res.value
+    assert res.value - res.certified_gap <= 1.4251723691097111 * (1.0 + 1e-15)
 
 
 @pytest.fixture
