@@ -51,8 +51,6 @@ from .families import (
 )
 from .geometry import (
     BayesRisk,
-    LossVector,
-    PosVector,
     ProperLoss,
     SimplexGrid,
     check_properness,
@@ -96,8 +94,6 @@ __all__ = [
     "psi_gauge",
     "zero_one_loss",
     "BayesRisk",
-    "LossVector",
-    "PosVector",
     "ProperLoss",
     "SimplexGrid",
     "check_properness",

@@ -22,7 +22,6 @@ import numpy as np
 
 from .duality import _MAX_FREE, _ellipsoid, antipolar_bayes_risk
 from .geometry import (
-    AntipolarHint,
     BayesRisk,
     ProperLoss,
     _coerce,
@@ -105,7 +104,6 @@ def msum(spec: MSumSpec) -> ProperLoss:
         strictly_proper=False,
         analytic=combiner.analytic and all(p.analytic for p in parts),
         maximizer=None,
-        antipolar_hint=None,
     )
 
 
@@ -256,7 +254,6 @@ def dual_msum(spec: MSumSpec) -> ProperLoss:
         strictly_proper=False,
         analytic=False,
         maximizer=None,
-        antipolar_hint=None,
     )
 
 
@@ -289,23 +286,6 @@ def scale_translate(loss: ProperLoss, alpha: float, t=None) -> ProperLoss:
     def loss_map(P):
         return alpha * loss.loss(P) + tv
 
-    hint = None
-    if pure_scale and loss.antipolar_hint is not None:
-        old = loss.antipolar_hint
-        hint = AntipolarHint(
-            rho=(None if old.rho is None else lambda x: old.rho(x) / alpha),
-            loss_map=(
-                None
-                if old.loss_map is None
-                else lambda x: np.asarray(old.loss_map(x)) / alpha
-            ),
-            partner=(
-                None
-                if old.partner is None
-                else lambda: scale_translate(old.partner(), 1.0 / alpha)
-            ),
-        )
-
     uniform_shift = np.allclose(tv, tv[0])
     new_max = loss.maximizer if (pure_scale or uniform_shift) else None
     label = f"scale({loss.name},{alpha:g})" if pure_scale else (
@@ -319,7 +299,9 @@ def scale_translate(loss: ProperLoss, alpha: float, t=None) -> ProperLoss:
         strictly_proper=loss.strictly_proper,
         analytic=loss.analytic,
         maximizer=new_max,
-        antipolar_hint=hint,
+        antipolar=(
+            lambda: scale_translate(loss.antipolar(), 1.0 / alpha)
+        ) if pure_scale and loss.antipolar is not None else None,
     )
 
 
@@ -389,5 +371,4 @@ def shift_maximum(loss: ProperLoss, p0, c: float | None = None) -> ProperLoss:
         strictly_proper=loss.strictly_proper,
         analytic=loss.analytic,
         maximizer=p0.copy(),
-        antipolar_hint=None,
     )

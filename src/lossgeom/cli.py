@@ -36,8 +36,8 @@ def _parse_vector(text: str) -> np.ndarray:
         raise SpecError("vector entries must be numbers", text, 0) from None
     if not vals:
         raise SpecError("empty vector", text, 0)
-    if any(math.isnan(v) for v in vals):
-        raise SpecError("vector entries must not be NaN", text, 0)
+    if not all(math.isfinite(v) for v in vals):
+        raise SpecError("vector entries must be finite", text, 0)
     return np.array(vals, dtype=np.float64)
 
 

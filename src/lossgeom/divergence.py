@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from ._kernels import worst_properness_violation
-from .duality import _antipolar_values, check_pseudo_inverse
+from .duality import antipolar_loss, check_pseudo_inverse
 from .geometry import (
     ProperLoss,
     SimplexGrid,
@@ -283,11 +283,7 @@ def verify_all(
 
     # pseudo-inverse round trip (needs unique supergradients); chains whose
     # antipolar is numeric pay a minimization per point, so they get fewer
-    hint = loss.antipolar_hint
-    closed_chain = hint is not None and (
-        hint.partner is not None
-        or (hint.rho is not None and hint.loss_map is not None)
-    )
+    closed_chain = loss.antipolar is not None
     if loss.strictly_proper:
         sub = P[_pair_subsample(G, 50 if closed_chain else 12)]
         sub_grid = SimplexGrid(sub, loss.n, grid.resolution, grid.margin)
@@ -314,7 +310,7 @@ def verify_all(
         worst_rh = -np.inf
         wit_rh = None
         rh_tol = 1e-6
-        for x, apolar_val in zip(X, _antipolar_values(loss, X)):
+        for x, apolar_val in zip(X, antipolar_loss(loss).rho(X)):
             viol = float(np.max(apolar_val * rho_vals - P @ x))
             if viol > worst_rh:
                 worst_rh, wit_rh = viol, {"x": x.tolist()}

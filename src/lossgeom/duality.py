@@ -5,18 +5,21 @@ The antipolar Bayes risk of a loss with Bayes risk rho is
 
     rho^(x) = inf_{q != 0} <x; q> / rho(q),
 
-the concave-gauge polar.  Closed forms are used when the loss carries a
-hint; otherwise the infimum is taken numerically over the simplex, for up
-to nine outcomes, by one solver batched over queries.  The ratio is
-quasi-convex, so an ellipsoid method cutting with the loss map (the one the
-dual M-sum of ``calculus`` runs) locates its minimum and proves a lower
-bound, which each result carries as its certificate; descent and a snap
-onto ties refine the minimizer.  Each query is solved once: the antipolar
-loss map, ``substitute`` and the CLI read their selection off it.
+the concave-gauge polar.  Where the loss's ``antipolar`` builds the exact
+antipolar loss, its Bayes risk and loss map are used; otherwise the infimum
+is taken numerically over the simplex, for up to nine outcomes, by one
+solver batched over queries.  The ratio is quasi-convex, so an ellipsoid
+method cutting with the loss map (the one the dual M-sum of ``calculus``
+runs) locates its minimum and proves a lower bound, which each result
+carries as its certificate; descent and a snap onto ties refine the
+minimizer.  Each query is solved once: the antipolar loss map,
+``substitute`` and the CLI read their selection off it.
 
 The attained minimizer q* doubles as the supergradient of rho^ at x via the
 envelope identity  d rho^(x) = q* / rho(q*),  which is how numeric antipolar
-loss maps are evaluated.
+loss maps are evaluated.  Where a closed-form loss map is undefined (an
+infimum reached only in the limit at a vertex), the numeric solve locates
+the minimizer.
 """
 
 from __future__ import annotations
@@ -260,111 +263,76 @@ def _minimize_ratio(loss: ProperLoss, X: np.ndarray):
 def antipolar_bayes_risk(loss: ProperLoss, x, method: str = "auto") -> AntipolarResult:
     """Evaluate rho^(x) = inf_q <x;q>/rho(q) with the attaining direction.
 
-    ``method='auto'`` uses the loss's closed form when available (falling
-    back to minimization at its singular points), ``'closed_form'`` requires
-    one, ``'numeric'`` forces minimization.  A numeric ``certified_gap`` is
-    the value minus a proven lower bound on the infimum: at most 1e-11 of
-    the value, or all of it where the loss lost the precision a bound needs
-    (an infimum reached only in the limit at a vertex).  A closed form's is
-    0, or its mismatch against the numeric cross-check when one was run for
-    the minimizer.
+    ``method='auto'`` uses the loss's closed-form antipolar when it has one,
+    ``'closed_form'`` requires one, ``'numeric'`` forces minimization.  A
+    numeric ``certified_gap`` is the value minus a proven lower bound on the
+    infimum: at most 1e-11 of the value, or all of it where the loss lost
+    the precision a bound needs (an infimum reached only in the limit at a
+    vertex).  A closed form's is 0, or, where its loss map is undefined and
+    the minimizer was located numerically, its mismatch against that solve.
     """
     xa = _coerce(x, loss.n)
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("antipolar argument must be finite")
     if np.any(xa < 0) or not np.any(xa > 0):
         raise ValueError("antipolar argument must be nonnegative and nonzero")
     if method not in ("auto", "closed_form", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-
-    hint = loss.antipolar_hint
-    has_closed = hint is not None and hint.rho is not None
-    if method == "closed_form" and not has_closed:
+    if method == "closed_form" and loss.antipolar is None:
         raise ValueError(f"{loss.name} has no closed-form antipolar")
 
-    if method != "numeric" and has_closed:
-        val = float(hint.rho(xa))
-        if np.isfinite(val) and not np.isnan(val):
-            if hint.loss_map is not None:
-                try:
-                    minimizer = normalize_direction(np.asarray(hint.loss_map(xa)))
-                    return AntipolarResult(val, minimizer, "closed_form", 0.0)
-                except ValueError:
-                    pass  # boundary point: the infimum is a limit, locate numerically
-            num_vals, q, _ = _minimize_ratio(loss, xa[None, :])
-            gap = abs(val - float(num_vals[0]))
-            return AntipolarResult(val, q[0], "closed_form", gap)
-        if method == "closed_form":
-            raise ValueError(
-                f"closed-form antipolar of {loss.name} is singular at this point"
-            )
+    if method != "numeric" and loss.antipolar is not None:
+        apolar = loss.antipolar()
+        val = float(apolar.rho(xa))
+        try:
+            return AntipolarResult(val, normalize_direction(apolar.loss(xa)), "closed_form", 0.0)
+        except ValueError:
+            pass  # boundary point: the infimum is a limit, locate numerically
+        num_vals, q, _ = _minimize_ratio(loss, xa[None, :])
+        return AntipolarResult(val, q[0], "closed_form", abs(val - float(num_vals[0])))
 
     vals, q, gaps = _minimize_ratio(loss, xa[None, :])
     return AntipolarResult(float(vals[0]), q[0], "numeric", float(gaps[0]))
 
 
-def _antipolar_values(loss: ProperLoss, X: np.ndarray) -> np.ndarray:
-    """``antipolar_bayes_risk(loss, x).value`` for each row x of X (B, n): the
-    closed form where it is finite, and one batched numeric solve for the
-    rows without one (no closed form, or one of its 0/0 points)."""
-    hint = loss.antipolar_hint
-    if hint is not None and hint.rho is not None:
-        vals = np.array(hint.rho(X), dtype=np.float64)
-    else:
-        vals = np.full(X.shape[0], np.nan)
-    singular = ~np.isfinite(vals)
-    if np.any(singular):
-        vals[singular] = _minimize_ratio(loss, X[singular])[0]
-    return vals
-
-
 def antipolar_loss(loss: ProperLoss) -> ProperLoss:
     """The antipolar (inverse) loss as a full ProperLoss.
 
-    When the loss carries a closed-form partner (concave-norm pairing,
-    scaled Cobb-Douglas, min/constant) that partner is returned.  Otherwise
-    the Bayes risk is ``antipolar_bayes_risk`` and the loss map is the
-    envelope supergradient q*/rho(q*) at the attained minimizer (exact for
-    the hinted log/Brier forms, numeric elsewhere).  For non-strictly-proper
-    losses the supergradient at kink points is one representative selection.
+    The loss's closed-form antipolar where it has one.  Otherwise the Bayes
+    risk is the numeric minimization of ``antipolar_bayes_risk`` and the loss
+    map is the envelope supergradient q*/rho(q*) at the attained minimizer;
+    for non-strictly-proper losses the supergradient at kink points is one
+    representative selection.
     """
-    hint = loss.antipolar_hint
-    if hint is not None and hint.partner is not None:
-        return hint.partner()
+    if loss.antipolar is not None:
+        return loss.antipolar()
 
     n = loss.n
 
     def rho_fn(P):
         P = np.asarray(P, dtype=np.float64)
-        return _antipolar_values(loss, P.reshape(-1, n)).reshape(P.shape[:-1])
+        return _minimize_ratio(loss, P.reshape(-1, n))[0].reshape(P.shape[:-1])
 
-    if hint is not None and hint.loss_map is not None:
-        map_fn = hint.loss_map
-    else:
-        def map_fn(P):
-            P = np.asarray(P, dtype=np.float64)
-            Q = _minimize_ratio(loss, P)[1]
-            return (Q / loss.bayes_risk(Q)[:, None]).reshape(P.shape)
+    def map_fn(P):
+        P = np.asarray(P, dtype=np.float64)
+        Q = _minimize_ratio(loss, P)[1]
+        return (Q / loss.bayes_risk(Q)[:, None]).reshape(P.shape)
 
-    fully_closed = (
-        hint is not None and hint.rho is not None and hint.loss_map is not None
-    )
     return ProperLoss(
         bayes_risk=BayesRisk(rho_fn, n),
         loss_map=map_fn,
         name=f"{loss.name}^",
         n=n,
         strictly_proper=loss.strictly_proper,
-        analytic=fully_closed,
-        maximizer=None,
-        antipolar_hint=None,
+        analytic=False,
     )
 
 
 def _antipolar_loss_vector(loss: ProperLoss, x, result: AntipolarResult):
     """``antipolar_loss(loss).loss(x)``, with a numeric selection read off the
     minimizer of the antipolar solve ``result`` at x instead of solving again."""
-    hint = loss.antipolar_hint
-    if hint is not None and (hint.partner is not None or hint.loss_map is not None):
-        return antipolar_loss(loss).loss(x)
+    if loss.antipolar is not None:
+        return loss.antipolar().loss(x)
     return result.minimizer / float(loss.bayes_risk(result.minimizer))
 
 

@@ -3,20 +3,23 @@
 Each constructor returns a :class:`~lossgeom.geometry.ProperLoss` whose Bayes
 risk is the 1-homogeneous extension of the usual simplex formula and whose
 loss map is an exact supergradient of it (so ``<l(p), p> = rho(p)`` holds to
-machine precision).  Where the family has a closed-form antipolar, the loss
-carries an :class:`~lossgeom.geometry.AntipolarHint`.
+machine precision).  Where the family's antipolar is known in closed form,
+the loss's ``antipolar`` builds it as a proper loss of its own, whose
+``antipolar`` in turn leads back.
 
 Families:
 
 * ``log_loss``            unbounded, strictly proper; antipolar via a scalar
                           root of sum_y exp(-x_y / beta) = 1
-* ``brier_loss``          bounded, strictly proper; explicit antipolar Bayes
-                          risk for n = 2
-* ``zero_one_loss``       misclassification with tie splitting
+* ``brier_loss``          bounded, strictly proper; antipolar from a quadratic
+                          on the support face of the minimizer, at every n
+* ``zero_one_loss``       misclassification with tie splitting; antipolar
+                          closed only at n = 2, where it is the constant loss
 * ``cnorm_loss``          concave-power-mean family, closed under antipolars
                           via the exponent pairing 1/a + 1/b = 1
 * ``cobb_douglas_loss``   weighted geometric mean, self-polar up to scale
-* ``norm_loss``           bounded losses built from p-norm balls
+* ``norm_loss``           bounded losses built from p-norm balls (antipolar
+                          numeric)
 * ``constant_loss``       the all-ones loss
 """
 
@@ -26,7 +29,7 @@ import math
 
 import numpy as np
 
-from .geometry import AntipolarHint, BayesRisk, ProperLoss, normalize_direction
+from .geometry import BayesRisk, ProperLoss, normalize_direction
 
 __all__ = [
     "log_loss",
@@ -38,7 +41,6 @@ __all__ = [
     "constant_loss",
     "beta_gauge",
     "psi_gauge",
-    "brier_antipolar_value_2d",
     "SHIPPED_FAMILIES",
 ]
 
@@ -130,14 +132,15 @@ def _log_antipolar_beta(x: np.ndarray, n: int) -> np.ndarray:
     return float(res) if single else res
 
 
+def _log_rho(p):
+    s = p.sum(axis=-1)
+    return _xlogx(s) - np.sum(_xlogx(p), axis=-1)
+
+
 def log_loss(n: int) -> ProperLoss:
     """Logarithmic loss l(p)_y = -log(p_y / ||p||_1)."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
-
-    def rho(p):
-        s = p.sum(axis=-1)
-        return _xlogx(s) - np.sum(_xlogx(p), axis=-1)
 
     def loss_map(p):
         q = normalize_direction(p)
@@ -145,50 +148,42 @@ def log_loss(n: int) -> ProperLoss:
             vals = np.where(q > 0, -np.log(np.where(q > 0, q, 1.0)), np.inf)
         return np.maximum(vals, 0.0)
 
-    def apolar_map(x):
-        x = np.asarray(x, dtype=np.float64)
-        if np.any(x <= 0):
-            raise ValueError("log antipolar loss map needs strictly positive input")
-        beta = _log_antipolar_beta(x, n)
-        q = np.exp(-x / np.asarray(beta)[..., None])
-        q = q / q.sum(axis=-1, keepdims=True)
-        return q / np.asarray(rho(q))[..., None]
-
-    hint = AntipolarHint(
-        rho=lambda x: _log_antipolar_beta(x, n),
-        loss_map=apolar_map,
-        partner=None,
-    )
     return ProperLoss(
-        bayes_risk=BayesRisk(rho, n),
+        bayes_risk=BayesRisk(_log_rho, n),
         loss_map=loss_map,
         name="log",
         n=n,
         strictly_proper=True,
         maximizer=np.full(n, 1.0 / n),
-        antipolar_hint=hint,
+        antipolar=lambda: _log_antipolar(n),
+    )
+
+
+def _log_antipolar(n: int) -> ProperLoss:
+    """The antipolar of the log loss: Bayes risk beta(x), and loss map
+    q*/rho(q*) at the minimizer q* proportional to exp(-x / beta)."""
+
+    def loss_map(x):
+        if np.any(x <= 0):
+            raise ValueError("log antipolar loss map needs strictly positive input")
+        beta = _log_antipolar_beta(x, n)
+        q = np.exp(-x / np.asarray(beta)[..., None])
+        q = q / q.sum(axis=-1, keepdims=True)
+        return q / np.asarray(_log_rho(q))[..., None]
+
+    return ProperLoss(
+        bayes_risk=BayesRisk(lambda x: _log_antipolar_beta(x, n), n),
+        loss_map=loss_map,
+        name="log^",
+        n=n,
+        strictly_proper=True,
+        antipolar=lambda: log_loss(n),
     )
 
 
 # ---------------------------------------------------------------------------
 # Brier loss
 # ---------------------------------------------------------------------------
-def brier_antipolar_value_2d(t: np.ndarray) -> np.ndarray:
-    """Antipolar Bayes risk of the two-outcome Brier loss on the simplex.
-
-    Evaluated at (t, 1-t); the formula is a 0/0 form at t in {0, 1/2, 1}
-    where NaN is returned (callers fall back to direct minimization there).
-    """
-    t = np.asarray(t, dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        root = np.sqrt(t * (1.0 - t))
-        num = (2.0 * t - 1.0) ** 2 * root
-        den = 4.0 * t**2 + 2.0 * root - 4.0 * t
-        val = num / den
-    bad = (np.abs(t - 0.5) < 1e-6) | (t < 1e-6) | (t > 1.0 - 1e-6)
-    return np.where(bad, np.nan, val)
-
-
 def brier_loss(n: int) -> ProperLoss:
     """Brier (quadratic) loss l(p)_y = 1 + ||q||_2^2 - 2 q_y, q = p/||p||_1."""
     if n < 2:
@@ -204,16 +199,6 @@ def brier_loss(n: int) -> ProperLoss:
         sq = np.sum(q * q, axis=-1, keepdims=True)
         return (1.0 + sq) - 2.0 * q
 
-    hint = None
-    if n == 2:
-
-        def apolar_rho(x):
-            x = np.asarray(x, dtype=np.float64)
-            s = x.sum(axis=-1)
-            return s * brier_antipolar_value_2d(x[..., 0] / s)
-
-        hint = AntipolarHint(rho=apolar_rho)
-
     return ProperLoss(
         bayes_risk=BayesRisk(rho, n),
         loss_map=loss_map,
@@ -221,7 +206,92 @@ def brier_loss(n: int) -> ProperLoss:
         n=n,
         strictly_proper=True,
         maximizer=np.full(n, 1.0 / n),
-        antipolar_hint=hint,
+        antipolar=lambda: _brier_antipolar(n),
+    )
+
+
+def _brier_antipolar_solve(x: np.ndarray):
+    """Value f and minimizer q of min_q <x;q>/rho(q) over the simplex for the
+    Brier loss, for each row of x (..., n), x >= 0; returns f (...) and
+    q (..., n).
+
+    On the support F of q, with k = |F| and X = sum_F x_y, stationarity
+    x_y = f l_y(q) = f (1 + |q|^2 - 2 q_y) gives q_y = (c - x_y) / (2f),
+    c = (2f + X) / k, and 4(k-1) f^2 - 4X f - (X^2 - k sum_F x_y^2) = 0,
+    whose larger root f = (X + r) / (2(k-1)), r^2 = k(X^2 - (k-1) sum_F x_y^2),
+    is the one on the simplex.  The support is a prefix of x sorted
+    ascending (x_y <= c on it, x_y >= c off it).  The ratio is strictly
+    pseudo-convex, so a larger prefix face whose q is >= 0 would hold a
+    second minimizer: the support is the largest prefix face with q >= 0.
+
+    With m = min_F x, r^2 is evaluated as
+    k(k m^2 + 2m sum_F (x_y - m) - sum over pairs of F without m of
+    (x_i - x_j)^2), and q_y = (k T_y + r) / (k (X + r)) with
+    T_y = m + sum_{F without m} (x_j - x_y), both free of the cancellation
+    of the textbook forms near a vertex.  Where two or more x_y are 0 the
+    value is 0, attained evenly on their face.
+    """
+    shape = x.shape
+    n = shape[-1]
+    x = x.reshape(-1, n)
+    scale = x.max(axis=1)  # the value is 1-homogeneous in x
+    scale[scale <= 0] = 1.0
+    order = np.argsort(x, axis=1)
+    z = np.take_along_axis(x / scale[:, None], order, axis=1)
+    m = z[:, :1]
+    d = z - m
+    gaps = d[:, None, :] - d[:, :, None]  # [b, y, j] = x_j - x_y
+    gaps[:, :, 0] = 0.0  # the minimum enters through m
+    pairs = np.triu(gaps * gaps, 1)
+    pairs[:, 0, :] = 0.0
+    pair_sum = np.cumsum(pairs.sum(axis=1), axis=1)
+    T = m[:, :, None] + np.cumsum(gaps, axis=2)  # [b, y, k - 1]
+    k = np.arange(1.0, n + 1.0)
+    spread = np.cumsum(d, axis=1)
+    X = k * m + spread
+    disc = k * (k * m * m + 2.0 * m * spread - pair_sum)
+    r = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (X + r) / (2.0 * (k - 1.0))
+    last = k * np.diagonal(T, axis1=1, axis2=2) + r  # k (X + r) q of the face's largest x
+    feasible = (k > 1) & (disc >= 0) & (last >= 0)  # always at k = 2
+    face = n - 1 - np.argmax(feasible[:, ::-1], axis=1)
+    rows = np.arange(x.shape[0])
+    size, rf, Xf = face + 1.0, r[rows, face], X[rows, face]
+    num = size[:, None] * T[rows, :, face] + rf[:, None]
+    den = (size * (Xf + rf))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(den > 0, np.maximum(num, 0.0) / den, 1.0 / size[:, None])
+    q = np.where(np.arange(n) <= face[:, None], q, 0.0)
+    out = np.empty_like(q)
+    np.put_along_axis(out, order, q, axis=1)
+    return (f[rows, face] * scale).reshape(shape[:-1]), out.reshape(shape)
+
+
+def _brier_antipolar(n: int) -> ProperLoss:
+    """The antipolar of the Brier loss: Bayes risk and minimizer q* from
+    ``_brier_antipolar_solve``, loss map q*/rho(q*).  The map is undefined
+    where q* is a vertex, the limit of an infimum that no point attains."""
+
+    def loss_map(x):
+        f, q = _brier_antipolar_solve(x)
+        if np.any(np.count_nonzero(q, axis=-1) < 2):
+            raise ValueError(
+                "Brier antipolar loss is undefined where its minimizer is a vertex"
+            )
+        # rho(q*) = <x;q*> / f, without the cancellation of 1 - |q*|^2 near a
+        # vertex; where f = 0, q* is even on two or more coordinates
+        with np.errstate(divide="ignore", invalid="ignore"):
+            risk = np.where(f > 0, np.sum(x * q, axis=-1) / f, 1.0 - np.sum(q * q, axis=-1))
+        return q / risk[..., None]
+
+    return ProperLoss(
+        bayes_risk=BayesRisk(lambda x: _brier_antipolar_solve(x)[0], n),
+        loss_map=loss_map,
+        name="brier^",
+        n=n,
+        strictly_proper=True,
+        antipolar=lambda: brier_loss(n),
     )
 
 
@@ -231,10 +301,9 @@ def brier_loss(n: int) -> ProperLoss:
 def zero_one_loss(n: int) -> ProperLoss:
     """Misclassification loss 1 - [p_y maximal]/#argmax, ties split evenly.
 
-    Its antipolar loss is represented by the constant loss, the canonical
-    selection from the two-outcome pairing; the antipolar Bayes risk itself
-    is computed numerically (for n > 2 it differs from ||.||_1: at x = 1_n it
-    equals n/(n-1), not n).
+    At n = 2 it is the coordinate minimum, whose antipolar is the constant
+    loss.  For n > 2 the antipolar is numeric: it differs from ||.||_1 (at
+    x = 1_n it equals n/(n-1), not n).
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
@@ -246,7 +315,6 @@ def zero_one_loss(n: int) -> ProperLoss:
         q = normalize_direction(p)
         return 1.0 - _tie_split(q, pick_max=True)
 
-    hint = AntipolarHint(partner=lambda: constant_loss(n))
     return ProperLoss(
         bayes_risk=BayesRisk(rho, n),
         loss_map=loss_map,
@@ -254,7 +322,7 @@ def zero_one_loss(n: int) -> ProperLoss:
         n=n,
         strictly_proper=False,
         maximizer=np.full(n, 1.0 / n),
-        antipolar_hint=hint,
+        antipolar=(lambda: constant_loss(2)) if n == 2 else None,
     )
 
 
@@ -270,11 +338,6 @@ def _min_loss(n: int) -> ProperLoss:
         q = normalize_direction(p)
         return _tie_split(q, pick_max=False)
 
-    hint = AntipolarHint(
-        rho=lambda x: np.asarray(x, dtype=np.float64).sum(axis=-1),
-        loss_map=lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
-        partner=lambda: constant_loss(n),
-    )
     return ProperLoss(
         bayes_risk=BayesRisk(rho, n),
         loss_map=loss_map,
@@ -282,7 +345,7 @@ def _min_loss(n: int) -> ProperLoss:
         n=n,
         strictly_proper=False,
         maximizer=np.full(n, 1.0 / n),
-        antipolar_hint=hint,
+        antipolar=lambda: constant_loss(n),
     )
 
 
@@ -303,8 +366,13 @@ def cnorm_loss(a: float, n: int) -> ProperLoss:
         return constant_loss(n)
     if a == 1.0:
         return _min_loss(n)
+    return _cnorm(a, a / (a - 1.0), n)
 
-    conj = a / (a - 1.0)
+
+def _cnorm(a: float, conj: float, n: int) -> ProperLoss:
+    """The concave-norm loss of exponent a, whose Bayes risk is the gauge of
+    the conjugate exponent conj.  The antipolar swaps the two as given: one
+    recomputed from the other can miss it by a rounding error."""
     expo = 1.0 / (a - 1.0)  # negative for a < 1
 
     def rho(p):
@@ -323,11 +391,7 @@ def cnorm_loss(a: float, n: int) -> ProperLoss:
         with np.errstate(divide="ignore"):
             return np.where(ratio > 0, np.power(np.where(ratio > 0, ratio, 1.0), expo), np.inf)
 
-    hint = AntipolarHint(
-        rho=lambda x: beta_gauge(a, np.asarray(x, dtype=np.float64)),
-        loss_map=lambda x: cnorm_loss(conj, n).loss(x),
-        partner=lambda: cnorm_loss(conj, n),
-    )
+    # below a of about -9e15, a / (a - 1) rounds to 1, the coordinate minimum
     return ProperLoss(
         bayes_risk=BayesRisk(rho, n),
         loss_map=loss_map,
@@ -335,7 +399,7 @@ def cnorm_loss(a: float, n: int) -> ProperLoss:
         n=n,
         strictly_proper=True,
         maximizer=np.full(n, 1.0 / n),
-        antipolar_hint=hint,
+        antipolar=lambda: _cnorm(conj, a, n) if conj < 1.0 else _min_loss(n),
     )
 
 
@@ -371,12 +435,6 @@ def _scaled_cobb_douglas(a: np.ndarray, scale: float) -> ProperLoss:
             out = scale * val * w / q
         return np.where(q > 0, out, np.inf)
 
-    partner_scale = self_polar_factor / scale
-    hint = AntipolarHint(
-        rho=lambda x: partner_scale * psi_gauge(w, np.asarray(x, dtype=np.float64)),
-        loss_map=lambda x: _scaled_cobb_douglas(a, partner_scale).loss(x),
-        partner=lambda: _scaled_cobb_douglas(a, partner_scale),
-    )
     suffix = "" if scale == 1.0 else f"*{_fmt(scale)}"
     return ProperLoss(
         bayes_risk=BayesRisk(rho, n),
@@ -385,7 +443,7 @@ def _scaled_cobb_douglas(a: np.ndarray, scale: float) -> ProperLoss:
         n=n,
         strictly_proper=True,
         maximizer=w.copy(),
-        antipolar_hint=hint,
+        antipolar=lambda: _scaled_cobb_douglas(a, self_polar_factor / scale),
     )
 
 
@@ -448,7 +506,6 @@ def norm_loss(alpha: float, n: int) -> ProperLoss:
         n=n,
         strictly_proper=strictly,
         maximizer=np.full(n, 1.0 / n),
-        antipolar_hint=None,
     )
 
 
@@ -466,11 +523,6 @@ def constant_loss(n: int) -> ProperLoss:
     def loss_map(p):
         return np.ones_like(np.asarray(p, dtype=np.float64))
 
-    hint = AntipolarHint(
-        rho=lambda x: np.min(np.asarray(x, dtype=np.float64), axis=-1),
-        loss_map=lambda x: _min_loss(n).loss(x),
-        partner=lambda: _min_loss(n),
-    )
     return ProperLoss(
         bayes_risk=BayesRisk(rho, n),
         loss_map=loss_map,
@@ -478,7 +530,7 @@ def constant_loss(n: int) -> ProperLoss:
         n=n,
         strictly_proper=False,
         maximizer=None,
-        antipolar_hint=hint,
+        antipolar=lambda: _min_loss(n),
     )
 
 

@@ -14,9 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,11 +23,8 @@ import numpy as np
 from ._kernels import compositions, worst_properness_violation
 
 __all__ = [
-    "PosVector",
-    "LossVector",
     "BayesRisk",
     "ProperLoss",
-    "AntipolarHint",
     "SimplexGrid",
     "PropernessReport",
     "inner",
@@ -41,100 +37,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# value types
+# array coercion and the JSON form of vectors
 # ---------------------------------------------------------------------------
-def _as_vector(entries, name: str) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {a.shape}")
-    if a.shape[0] < 2:
-        raise ValueError(f"{name} needs dimension >= 2, got {a.shape[0]}")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True, eq=False)
-class PosVector:
-    """A direction in the nonnegative orthant (finite entries, not all zero)."""
-
-    entries: np.ndarray
-    _strictly_positive: bool = field(init=False, repr=False, compare=False)
-
-    def __init__(self, entries):
-        a = _as_vector(entries, "PosVector")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("PosVector entries must be finite")
-        if np.any(a < 0):
-            raise ValueError("PosVector entries must be >= 0")
-        if not np.any(a > 0):
-            raise ValueError("PosVector must have at least one positive entry")
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "_strictly_positive", bool(np.all(a > 0)))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def strictly_positive(self) -> bool:
-        return self._strictly_positive
-
-    def normalized(self) -> "PosVector":
-        return PosVector(self.entries / self.entries.sum())
-
-    def to_json(self) -> str:
-        return json.dumps(vector_to_jsonable(self.entries))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PosVector":
-        return cls(vector_from_jsonable(json.loads(text)))
-
-
-@dataclass(frozen=True, eq=False)
-class LossVector:
-    """A point of [0, +inf]^n, one entry per outcome."""
-
-    entries: np.ndarray
-
-    def __init__(self, entries):
-        a = _as_vector(entries, "LossVector")
-        if np.any(np.isnan(a)) or np.any(a < 0):
-            raise ValueError("LossVector entries must be in [0, +inf]")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def dominates(self, other: "LossVector", tol: float = 0.0) -> bool:
-        """Componentwise self >= other - tol."""
-        return bool(np.all(self.entries >= other.entries - tol))
-
-    def to_json(self) -> str:
-        return json.dumps(vector_to_jsonable(self.entries))
-
-    @classmethod
-    def from_json(cls, text: str) -> "LossVector":
-        return cls(vector_from_jsonable(json.loads(text)))
-
-
 def vector_to_jsonable(a: np.ndarray) -> list:
     """JSON array of numbers, with "inf" standing in for +inf."""
     return ["inf" if math.isinf(v) else float(v) for v in np.asarray(a)]
 
 
-def vector_from_jsonable(items) -> np.ndarray:
-    return np.array(
-        [math.inf if v == "inf" else float(v) for v in items], dtype=np.float64
-    )
-
-
 def _coerce(x, n: int | None = None) -> np.ndarray:
-    if isinstance(x, (PosVector, LossVector)):
-        a = x.entries
-    else:
-        a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=np.float64)
     if n is not None and a.shape[-1] != n:
         raise ValueError(f"dimension mismatch: expected {n}, got {a.shape[-1]}")
     return a
@@ -192,28 +103,15 @@ class BayesRisk:
         return vals
 
 
-@dataclass(frozen=True)
-class AntipolarHint:
-    """Closed-form pieces of a loss's antipolar, where known.
-
-    ``rho``: exact antipolar Bayes risk, vectorized over (..., n), or None.
-    ``loss_map``: exact antipolar loss map, or None.
-    ``partner``: zero-argument constructor of the antipolar as a full
-    ProperLoss (the canonical representative for non-strictly-proper
-    losses), or None.
-    """
-
-    rho: Callable | None = None
-    loss_map: Callable | None = None
-    partner: Callable[[], "ProperLoss"] | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class ProperLoss:
     """A Bayes risk paired with a 0-homogeneous supergradient loss map.
 
     ``loss_map`` is vectorized: (..., n) -> (..., n); it may return +inf
     entries (unbounded losses at the simplex boundary).
+
+    ``antipolar`` builds the exact antipolar loss, whose Bayes risk is
+    inf_q <x;q>/rho(q) everywhere; None when that is only known numerically.
     """
 
     bayes_risk: BayesRisk
@@ -223,7 +121,7 @@ class ProperLoss:
     strictly_proper: bool = False
     analytic: bool = True
     maximizer: np.ndarray | None = None
-    antipolar_hint: AntipolarHint | None = None
+    antipolar: Callable[[], "ProperLoss"] | None = None
 
     def loss(self, p) -> np.ndarray:
         """Loss vector l(p) (0-homogeneous in p)."""

@@ -36,6 +36,18 @@ def analytic_families(n: int):
     return fams
 
 
+def brier_antipolar_value_2d(t):
+    """Reference antipolar Bayes risk of the two-outcome Brier loss at
+    (t, 1 - t), from the explicit two-outcome formula; a 0/0 form at
+    t in {0, 1/2, 1}, where NaN is returned."""
+    t = np.asarray(t, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(t * (1.0 - t))
+        val = (2.0 * t - 1.0) ** 2 * root / (4.0 * t**2 + 2.0 * root - 4.0 * t)
+    bad = (np.abs(t - 0.5) < 1e-6) | (t < 1e-6) | (t > 1.0 - 1e-6)
+    return np.where(bad, np.nan, val)
+
+
 def strictly_proper_families(n: int):
     return [f for f in analytic_families(n) if f.strictly_proper]
 

@@ -25,9 +25,9 @@ from lossgeom.duality import (
     check_pseudo_inverse,
     substitute,
 )
-from lossgeom.families import beta_gauge, brier_antipolar_value_2d, psi_gauge
+from lossgeom.families import beta_gauge, psi_gauge
 
-from conftest import interior_points
+from conftest import brier_antipolar_value_2d, interior_points
 
 
 def report(k: int, label: str, ok: bool, detail: str = "") -> bool:

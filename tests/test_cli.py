@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -20,6 +21,12 @@ def test_eval_log(capsys):
     payload = json.loads(out)
     assert payload["bayes_risk"] == pytest.approx(math.log(2), abs=1e-12)
     assert payload["loss_vector"] == pytest.approx([math.log(2)] * 2, abs=1e-12)
+
+
+def test_eval_writes_infinite_loss_as_inf(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--loss", "log", "--p=0,1")
+    assert code == 0
+    assert json.loads(out)["loss_vector"] == ["inf", 0.0]
 
 
 def test_eval_brier_formula(capsys):
@@ -44,7 +51,7 @@ def test_antipolar_zeroone_numeric_tag(capsys):
     code, out, _ = run_cli(capsys, "antipolar", "--loss", "zeroone", "--x", "0.3,0.7")
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(1.0, abs=1e-8)
-    assert payload["method"] == "numeric"
+    assert payload["method"] == "closed_form"
 
 
 def test_antipolar_log_near_zero_coordinate(capsys):
@@ -137,6 +144,16 @@ def test_non_finite_output_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ["log", "brier", "cnorm:a=0.5", "cnorm:a=-1", "cd:a=1,2", "const"])
+def test_antipolar_rejects_infinite_input(capsys, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "antipolar", "--loss", spec, "--x=inf,1")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_verify_composition(capsys):

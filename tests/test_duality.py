@@ -17,9 +17,12 @@ from lossgeom.duality import (
     check_pseudo_inverse,
     substitute,
 )
-from lossgeom.families import brier_antipolar_value_2d
-
-from conftest import interior_points, strictly_proper_families
+from conftest import (
+    analytic_families,
+    brier_antipolar_value_2d,
+    interior_points,
+    strictly_proper_families,
+)
 
 # frozen from the two-outcome closed form at p1 = 3/4: (2 + sqrt(3)) / 4,
 # reproduced below by the grid-minimization oracle
@@ -63,7 +66,7 @@ def test_zero_one_antipolar_value():
     # oracle: <x;q> >= min(q) * ||x||_1, attained at the uniform direction
     assert _grid_ratio_min(loss, [0.3, 0.7], 20001) == pytest.approx(1.0, abs=1e-6)
     assert res.value == pytest.approx(1.0, abs=1e-9)
-    assert res.method == "numeric"
+    assert res.method == "closed_form"
     np.testing.assert_allclose(res.minimizer, [0.5, 0.5], atol=1e-6)
 
 
@@ -73,6 +76,8 @@ def test_antipolar_rejects_zero_and_negative():
         antipolar_bayes_risk(loss, [0.0, 0.0])
     with pytest.raises(ValueError):
         antipolar_bayes_risk(loss, [-1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        antipolar_bayes_risk(loss, [np.inf, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +102,23 @@ def test_zero_one_antipolar_is_constant_loss():
     apolar = antipolar_loss(lg.zero_one_loss(2))
     assert apolar.name == "const"
     np.testing.assert_allclose(apolar.loss([0.3, 0.7]), [1.0, 1.0], atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_antipolar_loss_agrees_with_antipolar_bayes_risk(n):
+    # the antipolar loss's Bayes risk, and its loss vector paired with x, are
+    # the antipolar Bayes risk at x, closed form or not, scaled or not
+    from lossgeom.calculus import scale_translate
+
+    rng = np.random.default_rng(n)
+    for base in analytic_families(n):
+        for loss in (base, scale_translate(base, 2.0)):
+            apolar = antipolar_loss(loss)
+            P = interior_points(n, 2, rng)
+            for x in [np.ones(n), *(loss.loss(P) + rng.uniform(0.0, 0.5, P.shape))]:
+                value = antipolar_bayes_risk(loss, x).value
+                assert float(apolar.rho(x)) == pytest.approx(value, rel=1e-9), loss.name
+                assert lg.inner(apolar.loss(x), x) == pytest.approx(value, rel=1e-9), loss.name
 
 
 def test_log_antipolar_risk_matches_numeric():
@@ -433,29 +455,35 @@ def count_solves(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["brier:n=3", "normloss:alpha=2,n=3", "brier:n=2"])
 def test_substitute_solves_once(count_solves, spec):
+    # the Brier antipolar is closed form: it makes no numeric solve
     loss = lg.build_loss(lg.parse_loss_spec(spec))
     x = _queries(loss, 1, seed=3)[0]
     p = substitute(loss, x)
-    assert count_solves == [1]
+    assert count_solves == ([] if spec.startswith("brier") else [1])
     assert np.all(loss.loss(p) <= x + 1e-6)
 
 
 def test_cli_antipolar_solves_once(count_solves, capsys):
     from lossgeom.cli import main
 
-    x = _queries(lg.brier_loss(3), 1, seed=5)[0]
-    code = main(["antipolar", "--loss", "brier:n=3",
-                 "--x=" + ",".join(repr(float(v)) for v in x)])
-    assert code == 0
-    assert count_solves == [1]
-    out = json.loads(capsys.readouterr().out)
-    q = np.array(out["minimizer"])
-    np.testing.assert_array_equal(out["antipolar_loss_vector"], q / lg.brier_loss(3).rho(q))
+    for spec, solves in (("brier:n=3", []), ("normloss:alpha=2,n=3", [1])):
+        loss = lg.build_loss(lg.parse_loss_spec(spec))
+        x = _queries(loss, 1, seed=5)[0]
+        code = main(["antipolar", "--loss", spec,
+                     "--x=" + ",".join(repr(float(v)) for v in x)])
+        assert code == 0
+        assert count_solves == solves
+        out = json.loads(capsys.readouterr().out)
+        q = np.array(out["minimizer"])
+        if solves:  # the numeric vector is read off the solve's minimizer
+            np.testing.assert_array_equal(out["antipolar_loss_vector"], q / loss.rho(q))
 
 
 def test_antipolar_loss_solves_each_batch_once(count_solves):
-    apolar = antipolar_loss(lg.brier_loss(3))
-    X = _queries(lg.brier_loss(3), 4, seed=9)
-    apolar.rho(X)
-    apolar.loss(X)
-    assert count_solves == [4, 4]
+    for spec, solves in (("brier:n=3", []), ("normloss:alpha=2,n=3", [4, 4])):
+        loss = lg.build_loss(lg.parse_loss_spec(spec))
+        apolar = antipolar_loss(loss)
+        X = _queries(loss, 4, seed=9)
+        apolar.rho(X)
+        apolar.loss(X)
+        assert count_solves == solves

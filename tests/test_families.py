@@ -5,9 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lossgeom as lg
-from lossgeom.families import beta_gauge, psi_gauge
+from lossgeom.families import _brier_antipolar_solve, beta_gauge, psi_gauge
 from lossgeom.geometry import numeric_supergradient_batch
 
 from conftest import analytic_families, interior_points
@@ -86,6 +88,112 @@ def test_brier_formula_point():
         loss.loss([0.4, 0.6]), [1 + sq - 0.8, 1 + sq - 1.2], atol=1e-15
     )
     np.testing.assert_allclose(loss.loss([0.4, 0.6]), [0.72, 0.32], atol=1e-15)
+
+
+def _brier_ratio_and_kkt(x, f, q):
+    """50-digit check of a Brier antipolar (f, q) at x: the ratio <x;q>/rho(q)
+    (None at a vertex, where rho(q) = 0) and the residuals x_y - f l_y(q), in
+    forms free of cancellation: with q normalized, rho(q) = sum q_y (1 - q_y)
+    and l_y(q) = (1 - q_y)^2 + sum_{j != y} q_j^2, 1 - q_y = sum_{j != y} q_j.
+    The ratio is pseudo-convex, so residuals that are 0 on the support of q
+    and >= 0 off it certify the global minimum."""
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        s = mpmath.fsum(mpmath.mpf(float(v)) for v in q)
+        qs = [mpmath.mpf(float(v)) / s for v in q]
+        rest = [mpmath.fsum(qs[:y] + qs[y + 1:]) for y in range(len(qs))]
+        sq = mpmath.fsum(v * v for v in qs)
+        loss = [rest[y] ** 2 + sq - qs[y] ** 2 for y in range(len(qs))]
+        rho = mpmath.fsum(a * b for a, b in zip(qs, rest))
+        num = mpmath.fsum(a * b for a, b in zip(xs, qs))
+        ratio = float(num / rho) if rho > 0 else None
+        return ratio, [float(xs[y] - mpmath.mpf(float(f)) * loss[y]) for y in range(len(xs))]
+
+
+def _assert_brier_antipolar_certified(x):
+    f, q = _brier_antipolar_solve(np.asarray(x, dtype=np.float64))
+    ratio, residual = _brier_ratio_and_kkt(x, f, q)
+    if ratio is not None:
+        assert ratio == pytest.approx(float(f), rel=1e-14, abs=0.0)
+    tol = 1e-13 * max(x)
+    for q_y, r_y in zip(q, residual):
+        assert (abs(r_y) if q_y > 0 else -r_y) <= tol, (list(x), list(q), residual)
+    assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-15)
+    return float(f), q
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(2, 9), k=st.integers(-600, 600),
+       noise=st.sampled_from([0.5, 1e-6, 1e-12, 0.0]))
+def test_brier_antipolar_meets_kkt_in_50_digits(data, n, k, noise):
+    # x = l(p) + noise with boundary zeros, at scale 2^k
+    unit = st.floats(0.0, 1.0)
+    p = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    p = p / p.sum() if p.sum() > 0 else np.full(n, 1.0 / n)
+    x = lg.brier_loss(n).loss(p) + noise * np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    x[np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    if not np.any(x > 0):
+        x[0] = 1.0
+    x = 2.0**k * x
+    f, q = _assert_brier_antipolar_certified(x)
+    f1, q1 = _brier_antipolar_solve(2.0**-k * x)  # exact, also where x is subnormal
+    assert f == 2.0**k * f1 and np.array_equal(q, q1)
+
+
+@pytest.mark.parametrize(
+    "x", [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0), (2.0, 4.5e-12), (1.9447, 0.00589), (1e-300, 1.0)]
+)
+def test_brier_antipolar_two_outcomes_matches_mpmath(x):
+    # at n = 2 the value is (sqrt(x_1) + sqrt(x_2))^2 / 2 and the loss
+    # (sqrt(x_1) + sqrt(x_2)) / (2 sqrt(x_y)); the smaller root of the
+    # quadratic gives 0.868 at (1.9447, 0.00589), where the value is 1.0823
+    with mpmath.workdps(50):
+        roots = [mpmath.sqrt(v) for v in x]
+        value = float(sum(roots) ** 2 / 2)
+        loss = [float(sum(roots) / (2 * v)) if v > 0 else None for v in roots]
+    res = lg.antipolar_bayes_risk(lg.brier_loss(2), x)
+    assert res.method == "closed_form"
+    assert res.value == pytest.approx(value, rel=1e-15, abs=0.0)
+    _assert_brier_antipolar_certified(x)
+    if None not in loss:
+        got = lg.antipolar_loss(lg.brier_loss(2)).loss(x)
+        np.testing.assert_allclose(got, loss, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "x,value",
+    [
+        ((0.0, 1.0, 1.0), 0.5),
+        # attained near q = (1 - 5.86e-7, 5.86e-7, 0, 0), where the numeric
+        # solver's lower bound, 0.4119228630740913, passes the infimum
+        ((2.8271908590617963e-13, 0.8238447608880684, 0.952548795189347, 1.0),
+         0.4119228630585534),
+        # coordinates within 1e-10 of 1: the values of the three largest
+        # faces tie to a rounding error, and only the largest meets the KKT
+        # conditions
+        ((0.9989068726320776, 0.9997534733473276, 0.9999989691426503,
+          0.9999999999769603, 0.9687651650760989, 0.959262639518254,
+          0.9998494253243461, 0.003754903684067224, 1.0), None),
+    ],
+)
+def test_brier_antipolar_fixed_points(x, value):
+    f, _ = _assert_brier_antipolar_certified(x)
+    if value is not None:
+        assert f == pytest.approx(value, rel=1e-15, abs=0.0)
+
+
+def test_brier_antipolar_limit_at_a_vertex():
+    # the infimum 0.5 is reached only as q -> (1, 0, 0): the loss map is
+    # undefined there, and the minimizer is located numerically
+    loss = lg.brier_loss(3)
+    res = lg.antipolar_bayes_risk(loss, [0.0, 1.0, 1.0])
+    assert res.value == 0.5 and res.method == "closed_form"
+    assert res.minimizer[0] == pytest.approx(1.0, abs=1e-8)
+    with pytest.raises(ValueError, match="vertex"):
+        lg.antipolar_loss(loss).loss([0.0, 1.0, 1.0])
+    # two zeros: the value 0 is attained evenly on their face
+    np.testing.assert_array_equal(_brier_antipolar_solve(np.array([0.0, 0.0, 1.0]))[1], [0.5, 0.5, 0.0])
+    np.testing.assert_array_equal(lg.antipolar_loss(loss).loss([0.0, 0.0, 1.0]), [1.0, 1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

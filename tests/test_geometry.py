@@ -1,13 +1,12 @@
-"""Core geometry: pairings, value types, supergradients, grids, properness."""
+"""Core geometry: pairings, supergradients, grids, properness."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 import lossgeom as lg
-from lossgeom.geometry import LossVector, PosVector, numeric_supergradient
+from lossgeom.geometry import numeric_supergradient
 
 from conftest import analytic_families, interior_points
 
@@ -48,47 +47,6 @@ def test_normalize_direction(p, expected):
 def test_normalize_direction_zero_vector():
     with pytest.raises(ValueError):
         lg.normalize_direction([0.0, 0.0])
-
-
-# ---------------------------------------------------------------------------
-# value types
-# ---------------------------------------------------------------------------
-def test_pos_vector_invariants():
-    v = PosVector([0.5, 0.5])
-    assert v.strictly_positive
-    assert not PosVector([0.0, 1.0]).strictly_positive
-    with pytest.raises(ValueError):
-        PosVector([0.0, 0.0])
-    with pytest.raises(ValueError):
-        PosVector([1.0, -0.1])
-    with pytest.raises(ValueError):
-        PosVector([np.inf, 1.0])
-    with pytest.raises(ValueError):
-        PosVector([1.0])
-
-
-def test_loss_vector_invariants_and_order():
-    v = LossVector([1.0, np.inf])
-    assert v.dominates(LossVector([0.5, 3.0]))
-    assert not LossVector([0.5, 3.0]).dominates(v)
-    with pytest.raises(ValueError):
-        LossVector([-1.0, 2.0])
-
-
-def test_vector_json_round_trip_with_inf():
-    v = LossVector([1.5, np.inf])
-    text = v.to_json()
-    assert json.loads(text) == [1.5, "inf"]
-    back = LossVector.from_json(text)
-    np.testing.assert_array_equal(back.entries, v.entries)
-    p = PosVector([0.25, 0.75])
-    np.testing.assert_array_equal(PosVector.from_json(p.to_json()).entries, p.entries)
-
-
-def test_immutability():
-    v = PosVector([0.5, 0.5])
-    with pytest.raises(ValueError):
-        v.entries[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +95,10 @@ def test_numeric_supergradient_degenerate_pairing():
 
 def test_proper_loss_accepts_value_types():
     loss = lg.log_loss(2)
-    p = PosVector([0.25, 0.75])
-    np.testing.assert_allclose(loss.loss(p), loss.loss([0.25, 0.75]), atol=0.0)
-    assert loss.rho(p) == loss.rho([0.25, 0.75])
+    p = np.array([0.25, 0.75])
+    for q in ([0.25, 0.75], (0.25, 0.75)):
+        np.testing.assert_array_equal(loss.loss(q), loss.loss(p))
+        assert loss.rho(q) == loss.rho(p)
     assert loss.expected_loss(p, p) == pytest.approx(float(loss.rho(p)), abs=1e-15)
 
 
