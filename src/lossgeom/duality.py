@@ -17,9 +17,9 @@ minimizer.  Each query is solved once: the antipolar loss map,
 
 The attained minimizer q* doubles as the supergradient of rho^ at x via the
 envelope identity  d rho^(x) = q* / rho(q*),  which is how numeric antipolar
-loss maps are evaluated.  Where a closed-form loss map is undefined (an
-infimum reached only in the limit at a vertex), the numeric solve locates
-the minimizer.
+loss maps are evaluated.  Where a closed-form loss map is undefined or
+infinite at x (an infimum reached only in the limit on the face where x is
+least), the minimizer is the uniform point of that face.
 """
 
 from __future__ import annotations
@@ -268,8 +268,11 @@ def antipolar_bayes_risk(loss: ProperLoss, x, method: str = "auto") -> Antipolar
     numeric ``certified_gap`` is the value minus a proven lower bound on the
     infimum: at most 1e-11 of the value, or all of it where the loss lost
     the precision a bound needs (an infimum reached only in the limit at a
-    vertex).  A closed form's is 0, or, where its loss map is undefined and
-    the minimizer was located numerically, its mismatch against that solve.
+    vertex).  A closed form's is 0, and its minimizer is the direction of
+    the antipolar loss at x.  Where that loss raises or has an infinite
+    entry, the infimum is a limit on the face where x is least (x vanishes
+    there, or Brier's minimizer rounds to that vertex), and the minimizer is
+    the uniform point of that face.
     """
     xa = _coerce(x, loss.n)
     if not np.all(np.isfinite(xa)):
@@ -285,11 +288,13 @@ def antipolar_bayes_risk(loss: ProperLoss, x, method: str = "auto") -> Antipolar
         apolar = loss.antipolar()
         val = float(apolar.rho(xa))
         try:
-            return AntipolarResult(val, normalize_direction(apolar.loss(xa)), "closed_form", 0.0)
+            q = apolar.loss(xa)
         except ValueError:
-            pass  # boundary point: the infimum is a limit, locate numerically
-        num_vals, q, _ = _minimize_ratio(loss, xa[None, :])
-        return AntipolarResult(val, q[0], "closed_form", abs(val - float(num_vals[0])))
+            q = None
+        if q is None or not np.all(np.isfinite(q)):
+            # the infimum is a limit on the face where x is least
+            q = (xa == xa.min()).astype(np.float64)
+        return AntipolarResult(val, normalize_direction(q), "closed_form", 0.0)
 
     vals, q, gaps = _minimize_ratio(loss, xa[None, :])
     return AntipolarResult(float(vals[0]), q[0], "numeric", float(gaps[0]))
@@ -385,8 +390,9 @@ def substitute(loss: ProperLoss, x, tol: float = 1e-6) -> np.ndarray:
     """Map a superprediction point x to a prediction p with l(p) <= x + tol.
 
     x must lie in the superprediction set (antigauge >= 1 up to a relative
-    1e-8 slack).  The prediction is the direction of the antipolar loss at
-    x; componentwise dominance is verified before returning.
+    1e-8 slack).  The prediction is the minimizer of the antipolar solve at
+    x, the direction of the antipolar loss there; componentwise dominance is
+    verified before returning.
     """
     xa = _coerce(x, loss.n)
     result = antipolar_bayes_risk(loss, xa)
@@ -395,7 +401,7 @@ def substitute(loss: ProperLoss, x, tol: float = 1e-6) -> np.ndarray:
         raise ValueError(
             f"x is not a superprediction point (antigauge {beta:.6g} < 1)"
         )
-    p = normalize_direction(_antipolar_loss_vector(loss, xa, result))
+    p = result.minimizer
     lp = loss.loss(p)
     worst = float(np.max(lp - xa))
     if worst > tol:

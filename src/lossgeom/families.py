@@ -41,7 +41,6 @@ __all__ = [
     "constant_loss",
     "beta_gauge",
     "psi_gauge",
-    "SHIPPED_FAMILIES",
 ]
 
 _TIE_TOL = 1e-12
@@ -540,6 +539,3 @@ def _fmt(v: float) -> str:
     if v == int(v):
         return str(int(v))
     return repr(float(v))
-
-
-SHIPPED_FAMILIES = ("log", "brier", "zeroone", "cnorm", "cd", "normloss", "const")

@@ -12,19 +12,25 @@ Composition specs::
 
     msum:combiner=<family>;parts=<family>,<family>[;mode=dual]
 
+The table ``_FAMILIES`` declares each family once: its constructor, the
+parameter it requires, if any, and that parameter's range.  Parsing,
+building and ``LossSpec.resolved`` read it.  Every family takes ``n=<dim>``.
+
 Values may be ``inf``/``-inf``.  Commas inside a vector value (``cd:a=1,1``)
 are disambiguated by the rule that a bare number continues the previous
 key's value list.  Malformed input raises :class:`SpecError` carrying the
-offending position.
+offending position; a parameter out of range points at its family, also
+inside a composition.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .calculus import MSumSpec, compose
 from .families import (
+    _fmt,
     brier_loss,
     cnorm_loss,
     cobb_douglas_loss,
@@ -49,6 +55,37 @@ class SpecError(ValueError):
 
 
 @dataclass(frozen=True)
+class _Family:
+    """A loss family of the spec language."""
+
+    build: Callable[..., ProperLoss]  # build(param, n), build(n) without a param
+    key: str | None = None  # the parameter the family requires
+    vector: bool = False  # the parameter is a vector; its length is the dimension
+    bad: Callable[..., bool] | None = None  # flags a parameter out of range,
+    message: str = ""  # which is reported with this message
+
+
+_FAMILIES = {
+    "log": _Family(log_loss),
+    "brier": _Family(brier_loss),
+    "zeroone": _Family(zero_one_loss),
+    "const": _Family(constant_loss),
+    "cnorm": _Family(
+        cnorm_loss, "a", bad=lambda a: a == 0 or a > 1,
+        message="cnorm exponent must lie in [-inf, 1] and be nonzero",
+    ),
+    "cd": _Family(
+        cobb_douglas_loss, "a", vector=True, bad=lambda a: any(v <= 0 for v in a),
+        message="cd parameters must be strictly positive",
+    ),
+    "normloss": _Family(
+        norm_loss, "alpha", bad=lambda alpha: alpha < 1,
+        message="normloss exponent must lie in [1, inf]",
+    ),
+}
+
+
+@dataclass(frozen=True)
 class LossSpec:
     """Parsed loss specification (family or composition)."""
 
@@ -70,125 +107,79 @@ class LossSpec:
                 f"msum:combiner={self.combiner.resolved(len(self.parts))};"
                 f"parts={inner};mode={self.mode}"
             )
-        if self.family == "cd":
-            return "cd:a=" + ",".join(_fmt_num(v) for v in self.params["a"])
-        bits = [self.family]
-        if self.family == "cnorm":
-            bits.append(f"a={_fmt_num(self.params['a'])}")
-        if self.family == "normloss":
-            bits.append(f"alpha={_fmt_num(self.params['alpha'])}")
-        bits.append(f"n={n}")
-        return bits[0] + ":" + ",".join(bits[1:])
+        family = _FAMILIES[self.family]
+        value = self.params.get(family.key)
+        if family.vector:
+            return f"{self.family}:{family.key}=" + ",".join(_fmt(v) for v in value)
+        bits = [f"{family.key}={_fmt(value)}"] if family.key else []
+        return f"{self.family}:" + ",".join(bits + [f"n={n}"])
 
 
-def _fmt_num(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if float(v) == int(v):
-        return str(int(v))
-    return repr(float(v))
-
-
-def _parse_number(token: str, text: str, pos: int) -> float:
-    t = token.strip().lower()
-    if t in ("inf", "+inf"):
-        return math.inf
-    if t == "-inf":
-        return -math.inf
+def _number(token: str) -> float | None:
+    """The value of a numeric token (``inf``/``-inf`` included), else None."""
     try:
-        return float(t)
+        return float(token)
     except ValueError:
-        raise SpecError(f"expected a number, got {token!r}", text, pos) from None
-
-
-def _is_number(token: str) -> bool:
-    t = token.strip().lower()
-    if t in ("inf", "+inf", "-inf"):
-        return True
-    try:
-        float(t)
-        return True
-    except ValueError:
-        return False
+        return None
 
 
 def _parse_params(body: str, text: str, offset: int) -> dict:
     """key=value lists; a bare numeric token extends the previous value."""
     params: dict[str, list[float]] = {}
-    order: list[str] = []
     pos = offset
     current: str | None = None
     for token in body.split(","):
-        if "=" in token:
-            key, _, val = token.partition("=")
+        key, eq, val = token.partition("=")
+        number = _number(val if eq else token)
+        if eq:
             key = key.strip()
             if not key.isidentifier():
                 raise SpecError(f"bad parameter name {key!r}", text, pos)
             if key in params:
                 raise SpecError(f"duplicate parameter {key!r}", text, pos)
-            params[key] = [_parse_number(val, text, pos + len(key) + 1)]
-            order.append(key)
+            if number is None:
+                raise SpecError(
+                    f"expected a number, got {val!r}", text, pos + len(key) + 1
+                )
+            params[key] = [number]
             current = key
-        elif _is_number(token):
-            if current is None:
-                raise SpecError("value without a parameter name", text, pos)
-            params[current].append(_parse_number(token, text, pos))
-        else:
+        elif number is None:
             raise SpecError(f"cannot parse parameter {token!r}", text, pos)
+        elif current is None:
+            raise SpecError("value without a parameter name", text, pos)
+        else:
+            params[current].append(number)
         pos += len(token) + 1
     return {k: (v[0] if len(v) == 1 else v) for k, v in params.items()}
-
-
-_FAMILY_KEYS = {
-    "log": set(),
-    "brier": set(),
-    "zeroone": set(),
-    "const": set(),
-    "cnorm": {"a"},
-    "cd": {"a"},
-    "normloss": {"alpha"},
-}
 
 
 def _parse_family(text: str, fragment: str, offset: int) -> LossSpec:
     name, sep, body = fragment.partition(":")
     name = name.strip().lower()
-    if name not in _FAMILY_KEYS:
+    family = _FAMILIES.get(name)
+    if family is None:
         raise SpecError(f"unknown loss family {name!r}", text, offset)
     params = _parse_params(body, text, offset + len(name) + 1) if sep else {}
-    allowed = _FAMILY_KEYS[name] | {"n"}
     for key in params:
-        if key not in allowed:
+        if key not in (family.key, "n"):
             raise SpecError(
                 f"family {name!r} does not take parameter {key!r}", text, offset
             )
-    missing = _FAMILY_KEYS[name] - set(params)
-    if missing:
+    if family.key is not None and family.key not in params:
         raise SpecError(
-            f"family {name!r} requires parameter {sorted(missing)[0]!r}",
-            text,
-            offset,
+            f"family {name!r} requires parameter {family.key!r}", text, offset
         )
-    if name == "cd":
-        a = params["a"]
-        params["a"] = [a] if isinstance(a, float) else list(a)
-        if len(params["a"]) < 2:
-            raise SpecError("cd needs a parameter vector of dimension >= 2", text, offset)
-    for key in ("a", "alpha", "n"):
-        if key == "a" and name == "cd":
-            continue
+    if family.vector and isinstance(params[family.key], float):  # a single value
+        raise SpecError(
+            f"{name} needs a parameter vector of dimension >= 2", text, offset
+        )
+    for key in ("n",) if family.vector else (family.key, "n"):
         if key in params and not isinstance(params[key], float):
             raise SpecError(f"parameter {key!r} takes a single value", text, offset)
     if "n" in params and (params["n"] != int(params["n"]) or params["n"] < 2):
         raise SpecError("n must be an integer >= 2", text, offset)
-    if name == "cnorm" and (params["a"] == 0 or params["a"] > 1):
-        raise SpecError(
-            "cnorm exponent must lie in [-inf, 1] and be nonzero", text, offset
-        )
-    if name == "normloss" and params["alpha"] < 1:
-        raise SpecError("normloss exponent must lie in [1, inf]", text, offset)
-    if name == "cd" and any(v <= 0 for v in params["a"]):
-        raise SpecError("cd parameters must be strictly positive", text, offset)
+    if family.key is not None and family.bad(params[family.key]):
+        raise SpecError(family.message, text, offset)
     return LossSpec(family=name, params=params)
 
 
@@ -198,7 +189,7 @@ def _split_specs(body: str) -> list[str]:
     ``log``)."""
     chunks: list[str] = []
     for token in body.split(","):
-        if chunks and _is_number(token):
+        if chunks and _number(token) is not None:
             chunks[-1] += "," + token
         else:
             chunks.append(token)
@@ -208,17 +199,15 @@ def _split_specs(body: str) -> list[str]:
 def parse_loss_spec(text: str) -> LossSpec:
     """Parse a loss spec; raises SpecError with a caret position on failure."""
     stripped = text.strip()
-    low = stripped.lower()
     if not stripped:
         raise SpecError("empty loss spec", text, 0)
-    if low.startswith("msum:"):
-        segments = stripped[len("msum:"):].split(";")
+    if stripped.lower().startswith("msum:"):
         combiner = None
         parts: list[LossSpec] = []
         mode = "direct"
         offset = len("msum:")
         seen = set()
-        for seg in segments:
+        for seg in stripped[len("msum:"):].split(";"):
             key, sep, val = seg.partition("=")
             key = key.strip().lower()
             if not sep or key not in ("combiner", "parts", "mode"):
@@ -265,30 +254,19 @@ def build_loss(spec: LossSpec, n: int | None = None) -> ProperLoss:
         combiner = build_loss(spec.combiner, len(parts))
         return compose(MSumSpec(combiner=combiner, parts=parts, mode=spec.mode))
 
+    family = _FAMILIES[spec.family]
     dim = spec.params.get("n")
     dim = int(dim) if dim is not None else n
-    if spec.family == "cd":
-        a = spec.params["a"]
+    if family.vector:
+        a = spec.params[family.key]
         if dim is not None and dim != len(a):
             raise ValueError(
-                f"cd parameter vector has dimension {len(a)}, context wants {dim}"
+                f"{spec.family} parameter vector has dimension {len(a)}, "
+                f"context wants {dim}"
             )
-        return cobb_douglas_loss(a)
-    if dim is None:
-        dim = 2
-    if spec.family == "log":
-        return log_loss(dim)
-    if spec.family == "brier":
-        return brier_loss(dim)
-    if spec.family == "zeroone":
-        return zero_one_loss(dim)
-    if spec.family == "const":
-        return constant_loss(dim)
-    if spec.family == "cnorm":
-        return cnorm_loss(spec.params["a"], dim)
-    if spec.family == "normloss":
-        return norm_loss(spec.params["alpha"], dim)
-    raise AssertionError(f"unhandled family {spec.family}")  # pragma: no cover
+        return family.build(a)
+    param = () if family.key is None else (spec.params[family.key],)
+    return family.build(*param, 2 if dim is None else dim)
 
 
 def loss_from_text(text: str, n: int | None = None) -> ProperLoss:

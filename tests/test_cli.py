@@ -253,11 +253,56 @@ def test_weightfn(capsys):
     assert payload["weight"] == pytest.approx(2.0, abs=1e-5)
 
 
-def test_outputs_bit_identical_across_runs(capsys):
-    args = ("antipolar", "--loss", "brier", "--x", "0.7,0.3")
-    _, out1, _ = run_cli(capsys, *args)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--loss", "log", "--p", "0.3,0.7"),
+        ("bayes", "--loss", "cnorm:a=-1", "--p", "0.2,0.3,0.5"),
+        ("antipolar", "--loss", "brier", "--x", "0.7,0.3"),
+        ("boundary", "--loss", "log", "--resolution", "5", "--format", "json"),
+        ("verify", "--loss", "brier", "--resolution", "6"),
+        ("normalize", "--loss", "log:n=3"),
+        ("shiftmax", "--loss", "log", "--p0", "0.25,0.75", "--resolution", "20"),
+        ("compose", "--loss", "msum:combiner=const;parts=log,brier", "--p", "0.4,0.6"),
+        ("bregman", "--loss", "log", "--p", "0.5,0.5", "--q", "0.25,0.75"),
+        ("substitute", "--loss", "log", "--x", "0.8,0.8"),
+        ("weightfn", "--loss", "cd:a=1,1", "--p", "0.5"),
+        ("eval", "--loss", "brier:n=3", "--p", "0.2,0.3,0.5", "--format", "csv"),
+    ],
+    ids=lambda args: args[0] + ("-csv" if "csv" in args else ""),
+)
+def test_outputs_bit_identical_across_runs(capsys, args):
+    code, out1, _ = run_cli(capsys, *args)
+    assert code == 0
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+    if "--format" in args and "csv" in args:
+        return
+    payload = json.loads(out1)
+    if args[0] == "verify":
+        assert set(payload) == {"loss", "resolution", "pass", "checks"}
+    else:
+        assert {"command", "loss", "seed"} <= set(payload)
+        assert payload["command"] == args[0] and payload["seed"] == 0
+
+
+def test_substitute_vertex_prediction(capsys):
+    code, out, _ = run_cli(capsys, "substitute", "--loss", "brier:n=3", "--x=0,2,2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p"] == [1.0, 0.0, 0.0]
+    assert payload["loss_at_p"] == [0.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("spec", ["cnorm:a=0.5", "cd:a=1,1"])
+def test_antipolar_at_a_zero_coordinate(capsys, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "antipolar", "--loss", spec, "--x=0,1")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["minimizer"] == [1.0, 0.0] and payload["certified_gap"] == 0.0
+    assert payload["antipolar_loss_vector"][0] == "inf"
 
 
 def test_resolved_spec_round_trips(capsys):

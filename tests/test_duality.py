@@ -169,6 +169,37 @@ def test_substitute_boundary_fixed_point():
     np.testing.assert_allclose(p, q, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "loss,x,compare",
+    [
+        (lg.brier_loss(2), [0.0, 1.0], True),
+        (lg.brier_loss(3), [0.0, 1.0, 1.0], True),
+        (lg.brier_loss(3), [0.0, 0.0, 1.0], False),
+        (lg.cnorm_loss(0.5, 2), [0.0, 1.0], True),
+        (lg.cnorm_loss(0.5, 3), [0.0, 1.0, 1.0], True),
+        (lg.cnorm_loss(-1.0, 2), [0.0, 1.0], True),
+        (lg.cobb_douglas_loss([1.0, 2.0]), [0.0, 1.0], True),
+        (lg.cobb_douglas_loss([1.0, 1.0]), [0.0, 1.0], True),
+        (lg.cobb_douglas_loss([1.0, 2.0, 3.0]), [0.0, 0.0, 1.0], False),
+        # log's numeric solve loses its digits at a zero coordinate
+        (lg.log_loss(2), [0.0, 1.0], False),
+        (lg.log_loss(3), [0.0, 0.0, 1.0], False),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_closed_form_antipolar_at_the_boundary(loss, x, compare):
+    # where the closed-form loss map raises or is infinite, the infimum is a
+    # limit on the face where x is least: its uniform point, with gap 0
+    res = antipolar_bayes_risk(loss, x)
+    least = np.asarray(x) == min(x)
+    assert res.method == "closed_form" and res.certified_gap == 0.0
+    assert np.all(res.minimizer >= 0) and res.minimizer.sum() == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_array_equal(res.minimizer > 0, least)
+    if compare:
+        q = duality._minimize_ratio(loss, np.array([x], dtype=float))[1][0]
+        np.testing.assert_allclose(res.minimizer, q, atol=1e-6)
+
+
 def test_substitute_rejects_subboundary_point():
     with pytest.raises(ValueError):
         substitute(lg.log_loss(2), [0.01, 0.01])

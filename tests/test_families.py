@@ -184,11 +184,13 @@ def test_brier_antipolar_fixed_points(x, value):
 
 def test_brier_antipolar_limit_at_a_vertex():
     # the infimum 0.5 is reached only as q -> (1, 0, 0): the loss map is
-    # undefined there, and the minimizer is located numerically
+    # undefined there, and the minimizer is that vertex, where x is least
     loss = lg.brier_loss(3)
     res = lg.antipolar_bayes_risk(loss, [0.0, 1.0, 1.0])
     assert res.value == 0.5 and res.method == "closed_form"
     assert res.minimizer[0] == pytest.approx(1.0, abs=1e-8)
+    np.testing.assert_array_equal(res.minimizer, [1.0, 0.0, 0.0])
+    assert res.certified_gap == 0.0
     with pytest.raises(ValueError, match="vertex"):
         lg.antipolar_loss(loss).loss([0.0, 1.0, 1.0])
     # two zeros: the value 0 is attained evenly on their face

@@ -1,4 +1,5 @@
-"""Every hard dependency declared in pyproject.toml must be importable."""
+"""Every hard dependency declared in pyproject.toml must be importable, and
+the console script must resolve to the CLI's entry point."""
 
 import importlib
 import re
@@ -16,3 +17,15 @@ def test_declared_dependencies_import():
     for dep in deps:
         name = re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0]
         importlib.import_module(name.replace("-", "_"))
+
+
+def test_console_script_entry_point(capsys):
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["lossgeom"]
+    module, _, attr = target.partition(":")
+    main = getattr(importlib.import_module(module), attr)
+    assert callable(main)
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == importlib.import_module("lossgeom").__version__

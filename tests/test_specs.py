@@ -71,19 +71,43 @@ def test_msum_with_vector_valued_part_parameter():
 
 
 def test_resolved_specs_reparse_to_equivalent_losses(rng):
+    # one spec of every family in the table, both sentinels and both modes
     texts = [
         "log",
+        "brier",
+        "zeroone",
+        "const",
         "cnorm:a=0.75",
+        "cnorm:a=-inf",
         "cd:a=2,1",
         "normloss:alpha=1.5",
+        "normloss:alpha=inf",
         "msum:combiner=const;parts=log,brier",
+        "msum:combiner=cnorm:a=0.5;parts=log,brier;mode=dual",
     ]
     p = np.array([0.35, 0.65])
     for text in texts:
         spec = parse_loss_spec(text)
         loss = build_loss(spec, 2)
-        rebuilt = loss_from_text(spec.resolved(2), 2)
+        resolved = spec.resolved(2)
+        rebuilt = loss_from_text(resolved, 2)
+        assert parse_loss_spec(resolved).resolved(2) == resolved
         np.testing.assert_allclose(rebuilt.loss(p), loss.loss(p), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text,position,message",
+    [
+        ("msum:combiner=const;parts=log,cnorm:a=2", 30, "cnorm exponent"),
+        ("msum:combiner=const;parts=cd:a=1,-1,log", 26, "cd parameters"),
+        ("msum:combiner=normloss:alpha=0.5;parts=log,log", 14, "normloss exponent"),
+    ],
+)
+def test_range_errors_point_at_their_family(text, position, message):
+    with pytest.raises(SpecError, match=message) as info:
+        parse_loss_spec(text)
+    assert info.value.position == position
+    assert str(info.value).endswith("\n  " + " " * position + "^")
 
 
 @pytest.mark.parametrize(
