@@ -282,8 +282,9 @@ def verify_all(
     )
 
     # pseudo-inverse round trip (needs unique supergradients); chains whose
-    # antipolar is numeric pay a minimization per point, so they get fewer
-    closed_chain = loss.antipolar is not None
+    # loss map or antipolar is numeric pay a minimization per point, so they
+    # get fewer
+    closed_chain = loss.analytic and loss.antipolar is not None
     if loss.strictly_proper:
         sub = P[_pair_subsample(G, 50 if closed_chain else 12)]
         sub_grid = SimplexGrid(sub, loss.n, grid.resolution, grid.margin)

@@ -307,7 +307,8 @@ def antipolar_loss(loss: ProperLoss) -> ProperLoss:
     risk is the numeric minimization of ``antipolar_bayes_risk`` and the loss
     map is the envelope supergradient q*/rho(q*) at the attained minimizer;
     for non-strictly-proper losses the supergradient at kink points is one
-    representative selection.
+    representative selection.  Either way the result's antipolar leads back
+    to the loss (the bipolar theorem); a numeric one's is the loss itself.
     """
     if loss.antipolar is not None:
         return loss.antipolar()
@@ -330,6 +331,7 @@ def antipolar_loss(loss: ProperLoss) -> ProperLoss:
         n=n,
         strictly_proper=loss.strictly_proper,
         analytic=False,
+        antipolar=lambda: loss,
     )
 
 

@@ -21,6 +21,28 @@ Families:
 * ``norm_loss``           bounded losses built from p-norm balls (antipolar
                           numeric)
 * ``constant_loss``       the all-ones loss
+
+Five of them are norms and antinorms of the power mean
+G_c(p) = (sum_y p_y^c)^(1/c) (``_power_mean``; the maximum at c = inf, the
+minimum at c = -inf).  Their Bayes risk is G_c, an antinorm, or
+shift * ||p||_1 - G_c, a norm ball; their loss map is the slope
+(q_y / G_c(q))^e at q = p / ||p||_1, or shift minus it, with ties split
+evenly at c = +-inf (``_power_loss``):
+
+======================  ===================  =================  ===========
+family                  c                    shift              e
+======================  ===================  =================  ===========
+``const``               1                    --                 0
+``cnorm:a=1``           -inf (minimum)       --                 -inf
+``cnorm:a``, a < 1      a / (a - 1)          --                 1 / (a - 1)
+``zeroone``             inf (maximum)        1                  inf
+``normloss:alpha=1``    inf (maximum)        1 + 1/n            inf
+``normloss:alpha``      alpha / (alpha - 1)  1 + n^(-1/alpha)   c - 1
+``normloss:alpha=inf``  1                    --                 0
+======================  ===================  =================  ===========
+
+(``cnorm:a=-inf`` is ``const``.)  Log, Brier and Cobb-Douglas are not power
+means; Cobb-Douglas is their c -> 0 limit, a weighted geometric mean.
 """
 
 from __future__ import annotations
@@ -49,24 +71,34 @@ _TIE_TOL = 1e-12
 # ---------------------------------------------------------------------------
 # gauge building blocks
 # ---------------------------------------------------------------------------
+def _power_mean(c: float, x: np.ndarray) -> np.ndarray:
+    """Power mean (sum_y x_y^c)^(1/c) over the last axis of x >= 0, for c in
+    [-inf, inf] \\ {0}: the maximum at c = inf, the minimum at c = -inf and
+    the sum at c = 1.  For c < 0 the value is 0 whenever some coordinate
+    vanishes, and the row minimum m is factored out,
+    G_c(x) = m (sum_y (m / x_y)^(-c))^(1/c), so that no term exceeds 1."""
+    if math.isinf(c):
+        return x.max(axis=-1) if c > 0 else x.min(axis=-1)
+    if c == 1.0:
+        return x.sum(axis=-1)
+    if c > 0:
+        return np.power(np.sum(np.power(x, c), axis=-1), 1.0 / c)
+    m = x.min(axis=-1, keepdims=True)
+    pos = m > 0
+    if not pos.all():  # rows on the boundary: evaluated at 1_n, then set to 0
+        return np.where(pos[..., 0], _power_mean(c, np.where(pos, x, 1.0)), 0.0)
+    return m[..., 0] * np.power(np.sum(np.power(m / x, -c), axis=-1), 1.0 / c)
+
+
 def beta_gauge(a: float, x: np.ndarray) -> np.ndarray:
     """Concave power-mean gauge (sum_y x_y^a)^(1/a) on the nonnegative cone.
 
     For a < 0 the value is 0 whenever some coordinate vanishes; a = -inf is
     the coordinate minimum.  Vectorized over leading axes.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if math.isinf(a) and a < 0:
-        return np.min(x, axis=-1)
     if a == 0 or a > 1:
         raise ValueError("exponent must lie in [-inf, 1] excluding 0")
-    if a > 0:
-        return np.power(np.sum(np.power(x, a), axis=-1), 1.0 / a)
-    # a < 0: handle boundary zeros without overflow warnings
-    pos = np.all(x > 0, axis=-1)
-    safe = np.where(x > 0, x, 1.0)
-    val = np.power(np.sum(np.power(safe, a), axis=-1), 1.0 / a)
-    return np.where(pos, val, 0.0)
+    return _power_mean(a, np.asarray(x, dtype=np.float64))
 
 
 def psi_gauge(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -89,6 +121,52 @@ def _tie_split(values: np.ndarray, pick_max: bool) -> np.ndarray:
     )
     hit = np.abs(values - ref) <= _TIE_TOL * np.maximum(1.0, np.abs(ref))
     return hit / hit.sum(axis=-1, keepdims=True)
+
+
+def _power_loss(name, n, c, e, shift=None, strictly_proper=True, antipolar=None):
+    """The loss whose Bayes risk is the power mean G_c, or the norm ball
+    shift * ||p||_1 - G_c, and whose loss map is the slope of that risk:
+    (q_y / G_c(q))^e at q = p / ||p||_1, or shift minus it.  The slope is
+    the even tie split at c = +-inf, 1 at e = 0 and +inf where q_y = 0 and
+    e < 0.  The exponent e = c - 1 is passed as the family computes it: one
+    recomputed from c can miss it by a rounding error.  The dimension n is
+    checked by BayesRisk."""
+
+    def rho(p):
+        g = _power_mean(c, p)
+        if shift is None:
+            return g
+        s = p.sum(axis=-1)
+        return (s if shift == 1.0 else shift * s) - g
+
+    def loss_map(p):
+        if e == 0:  # G_1 = ||p||_1 is linear
+            slope = np.ones_like(np.asarray(p, dtype=np.float64))
+        elif math.isinf(c):
+            slope = _tie_split(normalize_direction(p), pick_max=c > 0)
+        else:
+            q = normalize_direction(p)
+            if c < 0 and np.any(q == 0):
+                # G_c vanishes there and the selection has no coordinatewise limit
+                raise ValueError(f"{name} loss is undefined on the orthant boundary")
+            ratio = q / _power_mean(c, q)[..., None]
+            if e > 0:
+                slope = np.power(ratio, e)
+            else:
+                slope = np.where(
+                    ratio > 0, np.power(np.where(ratio > 0, ratio, 1.0), e), np.inf
+                )
+        return slope if shift is None else shift - slope
+
+    return ProperLoss(
+        bayes_risk=BayesRisk(rho, n),
+        loss_map=loss_map,
+        name=name,
+        n=n,
+        strictly_proper=strictly_proper,
+        maximizer=np.full(n, 1.0 / n),
+        antipolar=antipolar,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +216,6 @@ def _log_rho(p):
 
 def log_loss(n: int) -> ProperLoss:
     """Logarithmic loss l(p)_y = -log(p_y / ||p||_1)."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
 
     def loss_map(p):
         q = normalize_direction(p)
@@ -185,8 +261,6 @@ def _log_antipolar(n: int) -> ProperLoss:
 # ---------------------------------------------------------------------------
 def brier_loss(n: int) -> ProperLoss:
     """Brier (quadratic) loss l(p)_y = 1 + ||q||_2^2 - 2 q_y, q = p/||p||_1."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
 
     def rho(p):
         s = p.sum(axis=-1)
@@ -304,23 +378,8 @@ def zero_one_loss(n: int) -> ProperLoss:
     loss.  For n > 2 the antipolar is numeric: it differs from ||.||_1 (at
     x = 1_n it equals n/(n-1), not n).
     """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-
-    def rho(p):
-        return p.sum(axis=-1) - p.max(axis=-1)
-
-    def loss_map(p):
-        q = normalize_direction(p)
-        return 1.0 - _tie_split(q, pick_max=True)
-
-    return ProperLoss(
-        bayes_risk=BayesRisk(rho, n),
-        loss_map=loss_map,
-        name="zeroone",
-        n=n,
-        strictly_proper=False,
-        maximizer=np.full(n, 1.0 / n),
+    return _power_loss(
+        "zeroone", n, math.inf, math.inf, shift=1.0, strictly_proper=False,
         antipolar=(lambda: constant_loss(2)) if n == 2 else None,
     )
 
@@ -330,20 +389,8 @@ def zero_one_loss(n: int) -> ProperLoss:
 # ---------------------------------------------------------------------------
 def _min_loss(n: int) -> ProperLoss:
     # exponent a = 1: Bayes risk min_y p_y, loss = argmin indicator
-    def rho(p):
-        return np.min(p, axis=-1)
-
-    def loss_map(p):
-        q = normalize_direction(p)
-        return _tie_split(q, pick_max=False)
-
-    return ProperLoss(
-        bayes_risk=BayesRisk(rho, n),
-        loss_map=loss_map,
-        name="cnorm:a=1",
-        n=n,
-        strictly_proper=False,
-        maximizer=np.full(n, 1.0 / n),
+    return _power_loss(
+        "cnorm:a=1", n, -math.inf, -math.inf, strictly_proper=False,
         antipolar=lambda: constant_loss(n),
     )
 
@@ -372,32 +419,9 @@ def _cnorm(a: float, conj: float, n: int) -> ProperLoss:
     """The concave-norm loss of exponent a, whose Bayes risk is the gauge of
     the conjugate exponent conj.  The antipolar swaps the two as given: one
     recomputed from the other can miss it by a rounding error."""
-    expo = 1.0 / (a - 1.0)  # negative for a < 1
-
-    def rho(p):
-        return beta_gauge(conj, p)
-
-    def loss_map(p):
-        q = normalize_direction(p)
-        if conj < 0 and np.any(q == 0):
-            # the conjugate gauge vanishes there and the selection has no
-            # coordinatewise limit
-            raise ValueError(
-                f"cnorm:a={_fmt(a)} loss is undefined on the orthant boundary"
-            )
-        b = beta_gauge(conj, q)[..., None]
-        ratio = q / b
-        with np.errstate(divide="ignore"):
-            return np.where(ratio > 0, np.power(np.where(ratio > 0, ratio, 1.0), expo), np.inf)
-
     # below a of about -9e15, a / (a - 1) rounds to 1, the coordinate minimum
-    return ProperLoss(
-        bayes_risk=BayesRisk(rho, n),
-        loss_map=loss_map,
-        name=f"cnorm:a={_fmt(a)}",
-        n=n,
-        strictly_proper=True,
-        maximizer=np.full(n, 1.0 / n),
+    return _power_loss(
+        f"cnorm:a={_fmt(a)}", n, conj, 1.0 / (a - 1.0),
         antipolar=lambda: _cnorm(conj, a, n) if conj < 1.0 else _min_loss(n),
     )
 
@@ -463,48 +487,14 @@ def norm_loss(alpha: float, n: int) -> ProperLoss:
     if math.isnan(alpha) or alpha < 1:
         raise ValueError("norm-loss exponent must lie in [1, inf]")
 
-    shift = 1.0 + n ** (-1.0 / alpha) if not math.isinf(alpha) else 2.0
-
     if math.isinf(alpha):
-        # conjugate exponent 1: rho = 2||p||_1 - ||p||_1, constant loss map
-        def rho(p):
-            return p.sum(axis=-1)
-
-        def loss_map(p):
-            return np.ones_like(np.asarray(p, dtype=np.float64))
-
-        strictly = False
-    elif alpha == 1.0:
-        # conjugate exponent inf: subdifferential of -max with tie splitting
-        def rho(p):
-            return shift * p.sum(axis=-1) - p.max(axis=-1)
-
-        def loss_map(p):
-            q = normalize_direction(p)
-            return shift - _tie_split(q, pick_max=True)
-
-        strictly = False
+        c, shift = 1.0, None  # rho = 2||p||_1 - ||p||_1, the constant loss
     else:
-        conj = alpha / (alpha - 1.0)
-
-        def rho(p):
-            norm = np.power(np.sum(np.power(p, conj), axis=-1), 1.0 / conj)
-            return shift * p.sum(axis=-1) - norm
-
-        def loss_map(p):
-            q = normalize_direction(p)
-            norm = np.power(np.sum(np.power(q, conj), axis=-1), 1.0 / conj)
-            return shift - np.power(q / norm[..., None], conj - 1.0)
-
-        strictly = True
-
-    return ProperLoss(
-        bayes_risk=BayesRisk(rho, n),
-        loss_map=loss_map,
-        name=f"normloss:alpha={_fmt(alpha)}",
-        n=n,
-        strictly_proper=strictly,
-        maximizer=np.full(n, 1.0 / n),
+        c = math.inf if alpha == 1.0 else alpha / (alpha - 1.0)
+        shift = 1.0 + n ** (-1.0 / alpha)
+    return _power_loss(
+        f"normloss:alpha={_fmt(alpha)}", n, c, c - 1.0, shift,
+        strictly_proper=1.0 < alpha < math.inf,
     )
 
 
@@ -513,23 +503,8 @@ def norm_loss(alpha: float, n: int) -> ProperLoss:
 # ---------------------------------------------------------------------------
 def constant_loss(n: int) -> ProperLoss:
     """The all-ones loss; Bayes risk ||p||_1."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-
-    def rho(p):
-        return p.sum(axis=-1)
-
-    def loss_map(p):
-        return np.ones_like(np.asarray(p, dtype=np.float64))
-
-    return ProperLoss(
-        bayes_risk=BayesRisk(rho, n),
-        loss_map=loss_map,
-        name="const",
-        n=n,
-        strictly_proper=False,
-        maximizer=None,
-        antipolar=lambda: _min_loss(n),
+    return _power_loss(
+        "const", n, 1.0, 0.0, strictly_proper=False, antipolar=lambda: _min_loss(n)
     )
 
 

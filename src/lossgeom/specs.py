@@ -129,17 +129,17 @@ def _parse_params(body: str, text: str, offset: int) -> dict:
     pos = offset
     current: str | None = None
     for token in body.split(","):
-        key, eq, val = token.partition("=")
+        raw, eq, val = token.partition("=")
         number = _number(val if eq else token)
         if eq:
-            key = key.strip()
+            key = raw.strip()
             if not key.isidentifier():
                 raise SpecError(f"bad parameter name {key!r}", text, pos)
             if key in params:
                 raise SpecError(f"duplicate parameter {key!r}", text, pos)
             if number is None:
                 raise SpecError(
-                    f"expected a number, got {val!r}", text, pos + len(key) + 1
+                    f"expected a number, got {val!r}", text, pos + len(raw) + 1
                 )
             params[key] = [number]
             current = key
@@ -154,12 +154,14 @@ def _parse_params(body: str, text: str, offset: int) -> dict:
 
 
 def _parse_family(text: str, fragment: str, offset: int) -> LossSpec:
-    name, sep, body = fragment.partition(":")
-    name = name.strip().lower()
+    """The family spec ``fragment``, which starts at ``offset`` of ``text``."""
+    offset += len(fragment) - len(fragment.lstrip())
+    head, sep, body = fragment.strip().partition(":")
+    name = head.strip().lower()
     family = _FAMILIES.get(name)
     if family is None:
         raise SpecError(f"unknown loss family {name!r}", text, offset)
-    params = _parse_params(body, text, offset + len(name) + 1) if sep else {}
+    params = _parse_params(body, text, offset + len(head) + 1) if sep else {}
     for key in params:
         if key not in (family.key, "n"):
             raise SpecError(
@@ -176,7 +178,7 @@ def _parse_family(text: str, fragment: str, offset: int) -> LossSpec:
     for key in ("n",) if family.vector else (family.key, "n"):
         if key in params and not isinstance(params[key], float):
             raise SpecError(f"parameter {key!r} takes a single value", text, offset)
-    if "n" in params and (params["n"] != int(params["n"]) or params["n"] < 2):
+    if "n" in params and not (params["n"].is_integer() and params["n"] >= 2):
         raise SpecError("n must be an integer >= 2", text, offset)
     if family.key is not None and family.bad(params[family.key]):
         raise SpecError(family.message, text, offset)
@@ -201,11 +203,12 @@ def parse_loss_spec(text: str) -> LossSpec:
     stripped = text.strip()
     if not stripped:
         raise SpecError("empty loss spec", text, 0)
+    lead = len(text) - len(text.lstrip())  # positions count in text itself
     if stripped.lower().startswith("msum:"):
         combiner = None
         parts: list[LossSpec] = []
         mode = "direct"
-        offset = len("msum:")
+        offset = lead + len("msum:")
         seen = set()
         for seg in stripped[len("msum:"):].split(";"):
             key, sep, val = seg.partition("=")
@@ -220,15 +223,15 @@ def parse_loss_spec(text: str) -> LossSpec:
             if key == "combiner":
                 if val.strip().lower().startswith("msum:"):
                     raise SpecError("nested compositions are not supported", text, offset)
-                combiner = _parse_family(text, val.strip(), offset + len("combiner="))
+                combiner = _parse_family(text, val, offset + len(seg) - len(val))
             elif key == "parts":
-                at = offset + len("parts=")
+                at = offset + len(seg) - len(val)
                 for chunk in _split_specs(val):
                     if chunk.strip().lower().startswith("msum:"):
                         raise SpecError(
                             "nested compositions are not supported", text, at
                         )
-                    parts.append(_parse_family(text, chunk.strip(), at))
+                    parts.append(_parse_family(text, chunk, at))
                     at += len(chunk) + 1
             else:
                 mode = val.strip().lower()
@@ -238,13 +241,13 @@ def parse_loss_spec(text: str) -> LossSpec:
                     )
             offset += len(seg) + 1
         if combiner is None:
-            raise SpecError("composition needs a combiner= segment", text, 0)
+            raise SpecError("composition needs a combiner= segment", text, lead)
         if len(parts) < 2:
-            raise SpecError("composition needs at least two parts", text, 0)
+            raise SpecError("composition needs at least two parts", text, lead)
         return LossSpec(
             family="msum", combiner=combiner, parts=tuple(parts), mode=mode
         )
-    return _parse_family(text, stripped, 0)
+    return _parse_family(text, text, 0)
 
 
 def build_loss(spec: LossSpec, n: int | None = None) -> ProperLoss:

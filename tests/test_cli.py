@@ -23,6 +23,24 @@ def test_eval_log(capsys):
     assert payload["loss_vector"] == pytest.approx([math.log(2)] * 2, abs=1e-12)
 
 
+def test_eval_cnorm_negative_gauge_exponent(capsys):
+    # cnorm:a=0.999 has the gauge exponent a/(a-1) = -999
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "eval", "--loss", "cnorm:a=0.999", "--p", "0.3,0.7")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bayes_risk"] == pytest.approx(0.3, rel=1e-15)
+    assert payload["loss_vector"] == pytest.approx([1.0, 0.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_eval_non_integer_dimension_is_usage_error(capsys, value):
+    code, _, err = run_cli(capsys, "eval", "--loss", f"log:n={value}", "--p", "0.5,0.5")
+    assert code == 2
+    assert "n must be an integer >= 2" in err and "^" in err
+
+
 def test_eval_writes_infinite_loss_as_inf(capsys):
     code, out, _ = run_cli(capsys, "eval", "--loss", "log", "--p=0,1")
     assert code == 0

@@ -291,6 +291,23 @@ def test_functional_bipolarity_numeric():
         assert back == pytest.approx(float(loss.rho(p)), abs=1e-4)
 
 
+def test_numeric_antipolar_links_back_to_its_loss(monkeypatch):
+    # bipolar theorem: the antipolar of the numeric antipolar is the loss
+    # itself, with no nested solve
+    loss = lg.norm_loss(2.0, 3)
+    apolar = antipolar_loss(loss)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("unexpected numeric antipolar solve")
+
+    monkeypatch.setattr(duality, "_minimize_ratio", no_solve)
+    assert antipolar_loss(apolar) is loss
+    p = np.array([0.2, 0.3, 0.5])
+    res = antipolar_bayes_risk(apolar, p)
+    assert (res.method, res.certified_gap) == ("closed_form", 0.0)
+    assert res.value == float(loss.rho(p))
+
+
 def test_antipolar_scaling_covariance():
     from lossgeom.calculus import scale_translate
 

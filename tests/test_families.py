@@ -1,6 +1,7 @@
 """Closed-form loss families: spec values, identities, gradient checks."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import lossgeom as lg
 from lossgeom.families import _brier_antipolar_solve, beta_gauge, psi_gauge
-from lossgeom.geometry import numeric_supergradient_batch
+from lossgeom.geometry import normalize_direction, numeric_supergradient_batch
 
 from conftest import analytic_families, interior_points
 
@@ -351,6 +352,154 @@ def test_constant_loss_values():
     assert loss.rho([2.0, 2.0]) == pytest.approx(4.0, abs=1e-15)
     rep = lg.check_properness(loss, lg.simplex_grid(2, 20))
     assert rep.passed and rep.worst_violation == 0.0
+
+
+# ---------------------------------------------------------------------------
+# power-mean families against their per-family formulas
+# ---------------------------------------------------------------------------
+# Reference twins: each family's Bayes risk and loss map written out on its
+# own, as before the five families shared one power mean.  The shared code
+# must reproduce them bit for bit.
+def _ref_tie_split(values, pick_max):
+    ref = values.max(axis=-1, keepdims=True) if pick_max else values.min(
+        axis=-1, keepdims=True
+    )
+    hit = np.abs(values - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))
+    return hit / hit.sum(axis=-1, keepdims=True)
+
+
+def _ref_norm(c, p):
+    return np.power(np.sum(np.power(p, c), axis=-1), 1.0 / c)
+
+
+def _ref_cnorm(a):
+    """cnorm for a < 0: conjugate exponent c = a/(a-1) in (0, 1)."""
+    c, expo = a / (a - 1.0), 1.0 / (a - 1.0)
+
+    def loss(p):
+        q = normalize_direction(p)
+        ratio = q / _ref_norm(c, q)[..., None]
+        with np.errstate(divide="ignore"):
+            return np.where(ratio > 0, np.power(np.where(ratio > 0, ratio, 1.0), expo), np.inf)
+
+    return (lambda p: _ref_norm(c, p)), loss
+
+
+def _ref_normloss(alpha, n):
+    if math.isinf(alpha):
+        return (lambda p: p.sum(axis=-1)), (lambda p: np.ones_like(p))
+    shift = 1.0 + n ** (-1.0 / alpha)
+    if alpha == 1.0:
+        return (
+            lambda p: shift * p.sum(axis=-1) - p.max(axis=-1),
+            lambda p: shift - _ref_tie_split(normalize_direction(p), True),
+        )
+    c = alpha / (alpha - 1.0)
+
+    def loss(p):
+        q = normalize_direction(p)
+        return shift - np.power(q / _ref_norm(c, q)[..., None], c - 1.0)
+
+    return (lambda p: shift * p.sum(axis=-1) - _ref_norm(c, p)), loss
+
+
+_REFERENCE_TWINS = {
+    "zeroone": (
+        lg.zero_one_loss,
+        lambda n: (
+            lambda p: p.sum(axis=-1) - p.max(axis=-1),
+            lambda p: 1.0 - _ref_tie_split(normalize_direction(p), True),
+        ),
+    ),
+    "const": (
+        lg.constant_loss,
+        lambda n: ((lambda p: p.sum(axis=-1)), (lambda p: np.ones_like(p))),
+    ),
+    "cnorm:a=1": (
+        lambda n: lg.cnorm_loss(1.0, n),
+        lambda n: (
+            lambda p: np.min(p, axis=-1),
+            lambda p: _ref_tie_split(normalize_direction(p), False),
+        ),
+    ),
+    **{
+        f"cnorm:a={a}": (lambda n, a=a: lg.cnorm_loss(a, n), lambda n, a=a: _ref_cnorm(a))
+        for a in (-3.0, -1.0, -0.25)
+    },
+    **{
+        f"normloss:alpha={alpha}": (
+            lambda n, alpha=alpha: lg.norm_loss(alpha, n),
+            lambda n, alpha=alpha: _ref_normloss(alpha, n),
+        )
+        for alpha in (1.0, 1.5, 2.0, 3.0, math.inf)
+    },
+}
+
+
+def _seeded_directions(n, rng):
+    """Simplex points at scales 2^k, k in [-40, 40], with ties and zeros."""
+    P = rng.dirichlet(np.ones(n), size=60)
+    tied = P[:20]
+    tied[:, 1] = tied[:, 0]  # a two-way tie, and an all-way tie in row 0
+    tied[0] = 1.0 / n
+    P[20:35, 0] = 0.0
+    P[35:40, :-1] = 0.0  # vertices
+    return P * 2.0 ** rng.integers(-40, 41, size=(60, 1)).astype(np.float64)
+
+
+@pytest.mark.parametrize("family", sorted(_REFERENCE_TWINS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_power_mean_families_match_reference_twins_bit_for_bit(family, n):
+    build, reference = _REFERENCE_TWINS[family]
+    loss, (ref_rho, ref_loss) = build(n), reference(n)
+    P = _seeded_directions(n, np.random.default_rng(n))
+    assert np.asarray(loss.rho(P)).tobytes() == ref_rho(P).tobytes()
+    assert loss.loss(P).tobytes() == ref_loss(P).tobytes()
+    for p in P[::7]:  # one direction at a time
+        assert np.float64(loss.rho(p)).tobytes() == np.float64(ref_rho(p)).tobytes()
+        assert loss.loss(p).tobytes() == ref_loss(p).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_norm_loss_alpha_inf_is_the_constant_loss_bit_for_bit(n):
+    P = _seeded_directions(n, np.random.default_rng(10 + n))
+    norm, const = lg.norm_loss(math.inf, n), lg.constant_loss(n)
+    assert norm.rho(P).tobytes() == const.rho(P).tobytes()
+    assert norm.loss(P).tobytes() == const.loss(P).tobytes()
+
+
+def _cnorm_mpmath(a, p):
+    """50-digit Bayes risk G_c(p) and loss (q_y / G_c(q))^e of cnorm at p,
+    with the float exponents c = a/(a-1) and e = 1/(a-1) that the family
+    computes.  A rounding error of e moves the loss by |e log(q_y / G_c(q))|
+    eps relative, 3e-14 at e = -10 and q_y / G_c(q) = 1e28."""
+    with mpmath.workdps(50):
+        c, e = mpmath.mpf(a / (a - 1.0)), mpmath.mpf(1.0 / (a - 1.0))
+        ps = [mpmath.mpf(float(v)) for v in p]
+        gauge = lambda xs: mpmath.fsum(v**c for v in xs) ** (1 / c)
+        s = mpmath.fsum(ps)
+        q = [v / s for v in ps]
+        return float(gauge(ps)), [float((v / gauge(q)) ** e) for v in q]
+
+
+@pytest.mark.parametrize("a", [0.5, 0.75, 0.9, 0.99, 0.999, 0.9999])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cnorm_negative_gauge_exponent_matches_mpmath(a, n):
+    # c = a/(a-1) reaches -9999 here: x^c overflows for any x < 1 unless the
+    # row minimum is factored out.  The loss map raises the ratio q_y/G_c(q)
+    # to e = 1/(a-1), which multiplies its rounding error by |e|.
+    rng = np.random.default_rng(int(1e4 * a) + n)
+    e = 1.0 / (a - 1.0)
+    loss = lg.cnorm_loss(a, n)
+    eps = np.finfo(np.float64).eps
+    for k in range(12):
+        p = 10.0 ** rng.uniform(-300.0 if k % 2 else -3.0, 0.0, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, l = float(loss.rho(p)), loss.loss(p)
+        want_rho, want_l = _cnorm_mpmath(a, p)
+        assert rho == pytest.approx(want_rho, rel=4 * eps, abs=0.0)
+        np.testing.assert_allclose(l, want_l, rtol=4 * (abs(e) + 2) * eps, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,33 @@ def test_range_errors_point_at_their_family(text, position, message):
     assert str(info.value).endswith("\n  " + " " * position + "^")
 
 
+@pytest.mark.parametrize("lead", ["", "  ", "\t "])
+@pytest.mark.parametrize(
+    "text,family",
+    [
+        ("msum:combiner=const;parts=log,cnorm:a=2", "cnorm"),
+        ("msum:combiner=const;parts=log, cnorm:a=2", "cnorm"),
+        ("msum: combiner= normloss:alpha=0.5;parts=log,log", "normloss"),
+        ("cnorm:a=2", "cnorm"),
+    ],
+)
+def test_caret_sits_under_the_family_with_surrounding_whitespace(lead, text, family):
+    spec = lead + text + " "
+    with pytest.raises(SpecError) as info:
+        parse_loss_spec(spec)
+    assert info.value.position == spec.index(family)
+    assert str(info.value).endswith("\n  " + " " * spec.index(family) + "^")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "2.5", "1"])
+@pytest.mark.parametrize("prefix", ["", "  msum:combiner=const;parts=brier,"])
+def test_non_integer_dimension_is_a_spec_error(value, prefix):
+    text = prefix + "log:n=" + value
+    with pytest.raises(SpecError, match="n must be an integer >= 2") as info:
+        parse_loss_spec(text)
+    assert info.value.position == text.index("log")
+
+
 @pytest.mark.parametrize(
     "text",
     [
