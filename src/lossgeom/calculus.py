@@ -6,7 +6,8 @@ vectors times the combiner's loss map evaluated at the component risks, so
 properness is inherited.  The dual composition maximizes the combiner over
 additive splittings of the probability direction, a concave problem solved
 to a certified gap; its loss map follows from the optimal splitting by
-Danskin's theorem.
+Danskin's theorem.  Its Bayes risk and loss map share one certified solve
+per batch: a call at the points of the call before reuses that solve.
 
 Also here: positive scaling plus translation of the superprediction set,
 canonical normalization (Bayes-risk maximum scaled to 1) and repositioning
@@ -213,6 +214,13 @@ def dual_msum(spec: MSumSpec) -> ProperLoss:
     so that <l(p), p> = rho(p); it needs strictly positive p.  Each row is
     solved at p / max(p), by homogeneity, so extreme scales neither
     overflow nor underflow.
+
+    ``rho`` and the loss map share one certified solve per batch: the
+    result of the last batch solved is kept, and a call whose scaled rows
+    match it byte for byte (rho then loss at the same points, or a repeated
+    query) returns it without solving again.  Results are bit-identical to
+    a fresh solve, since the solve is deterministic and a row's result does
+    not depend on its batch; memory holds one batch.
     """
     if spec.mode != "dual":
         raise ValueError("dual_msum requires mode='dual'")
@@ -224,6 +232,17 @@ def dual_msum(spec: MSumSpec) -> ProperLoss:
             f"splitting budget exceeded: n*(m-1) = {n * (m - 1)} > {_MAX_FREE}"
         )
 
+    last = None  # (Q.shape, Q.tobytes(), result) of the last batch solved
+
+    def solve(Q):
+        # `last` is read once, so a thread that replaces it meanwhile cannot
+        # hand this call another batch's result
+        nonlocal last
+        key, hit = (Q.shape, Q.tobytes()), last
+        if hit is None or hit[:2] != key:
+            hit = last = (*key, _solve_splitting(combiner, parts, Q))
+        return hit[2]
+
     def rho(P):
         flat = P.reshape(-1, n)  # P >= 0 here, so a non-finite entry shows in the max
         scale = flat.max(axis=1)
@@ -231,7 +250,7 @@ def dual_msum(spec: MSumSpec) -> ProperLoss:
         ok = np.isfinite(scale) & (scale > 0)
         if np.any(ok):
             Q = flat[ok] / scale[ok, None]
-            vals[ok] = scale[ok] * _solve_splitting(combiner, parts, Q)[0]
+            vals[ok] = scale[ok] * solve(Q)[0]
         return vals.reshape(P.shape[:-1])
 
     def loss_map(P):
@@ -239,7 +258,7 @@ def dual_msum(spec: MSumSpec) -> ProperLoss:
         if not np.all((flat > 0) & np.isfinite(flat)):
             raise ValueError("the dual M-sum loss needs finite, strictly positive points")
         Q = flat / flat.max(axis=1, keepdims=True)
-        vals, U, L, w = _solve_splitting(combiner, parts, Q)
+        vals, U, L, w = solve(Q)
         lam = _envelope_loss(U, L, w)
         pairing = np.sum(lam * Q, axis=1)
         if not np.all(pairing > 0):

@@ -262,6 +262,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     """Run one command, then stamp its payload with the loss spec and emit."""
+    if args.tol is not None and not math.isfinite(args.tol):
+        # negative tolerances stay allowed: they force a failing report
+        raise ValueError(f"--tol must be a finite number, got {args.tol!r}")
     resolved = None
 
     def load(n):

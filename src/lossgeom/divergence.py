@@ -90,6 +90,8 @@ def weight_function(loss: ProperLoss, p1: float, h: float = 1e-4) -> float:
     """
     if loss.n != 2:
         raise ValueError("weight functions are defined for two-outcome losses")
+    if not 0.0 < p1 < 1.0:  # NaN fails this too
+        raise ValueError(f"p1 must be a finite number in (0, 1), got {p1!r}")
     if not (2 * h < p1 < 1.0 - 2 * h):
         raise ValueError("evaluation point too close to {0, 1}")
 

@@ -396,6 +396,8 @@ def substitute(loss: ProperLoss, x, tol: float = 1e-6) -> np.ndarray:
     x, the direction of the antipolar loss there; componentwise dominance is
     verified before returning.
     """
+    if not np.isfinite(tol):  # a NaN or +inf tolerance passes any loss
+        raise ValueError(f"tol must be a finite number, got {tol!r}")
     xa = _coerce(x, loss.n)
     result = antipolar_bayes_risk(loss, xa)
     beta = result.value

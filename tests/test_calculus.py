@@ -1,11 +1,14 @@
 """Composition (direct and dual), affine transforms, normalization, shifting."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import lossgeom as lg
+from lossgeom import calculus
 from lossgeom.calculus import (
     MSumSpec,
     dual_msum,
@@ -14,6 +17,8 @@ from lossgeom.calculus import (
     scale_translate,
     shift_maximum,
 )
+from lossgeom.cli import main
+from lossgeom.divergence import verify_all
 from lossgeom.duality import antipolar_bayes_risk
 from lossgeom.families import beta_gauge
 from lossgeom.geometry import numeric_supergradient_batch
@@ -255,6 +260,132 @@ def test_dual_msum_loss_needs_interior_points():
     with pytest.raises(ValueError):
         dual.loss([1.0, 0.0])
     assert float(dual.rho([0.0, 0.0])) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one splitting solve per batch: rho and the loss map share it
+# ---------------------------------------------------------------------------
+_HARMONIC_DUAL = "msum:combiner=cnorm:a=0.5;parts=log,brier;mode=dual"
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Count the certified splitting solves."""
+    calls = []
+    solve = calculus._solve_splitting
+
+    def counted(combiner, parts, P):
+        calls.append(P.shape[0])
+        return solve(combiner, parts, P)
+
+    monkeypatch.setattr(calculus, "_solve_splitting", counted)
+    return calls
+
+
+def _harmonic_dual(n=2):
+    return lg.build_loss(lg.parse_loss_spec(_HARMONIC_DUAL), n)
+
+
+def test_compose_cli_solves_once(solves, capsys):
+    assert main(["compose", "--loss", _HARMONIC_DUAL, "--p=0.255,0.745"]) == 0
+    capsys.readouterr()
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("order", [("rho", "loss"), ("loss", "rho")], ids="-".join)
+def test_rho_and_loss_at_one_point_solve_once(solves, order):
+    dual, p = _harmonic_dual(), np.array([0.255, 0.745])
+    for kind in order:
+        getattr(dual, kind)(p)
+    assert len(solves) == 1
+
+
+def test_verify_all_dual_msum_solves_at_most_five_times(solves):
+    dual = _harmonic_dual(3)
+    rep = verify_all(dual, lg.simplex_grid(3, 12))
+    assert rep.passed
+    assert len(solves) <= 5
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def test_remembered_batch_never_serves_a_stale_answer():
+    rng = np.random.default_rng(1301)
+    P1, P2 = rng.uniform(0.05, 1.0, (6, 2)), rng.uniform(0.05, 1.0, (4, 2))
+    dual = _harmonic_dual()
+    for kind, P in [("rho", P1), ("loss", P2), ("rho", P1), ("loss", P1),
+                    ("rho", P2), ("loss", P1[:3]), ("rho", P1)]:
+        assert _same(getattr(dual, kind)(P), getattr(_harmonic_dual(), kind)(P))
+
+
+def test_one_ulp_triggers_a_new_solve(solves):
+    dual, P = _harmonic_dual(), np.array([[0.3, 0.7], [0.6, 0.4]])
+    dual.rho(P)
+    moved = P.copy()
+    moved[1, 1] = np.nextafter(moved[1, 1], 1.0)
+    got = dual.loss(moved)
+    assert len(solves) == 2
+    assert _same(got, _harmonic_dual().loss(moved))
+
+
+def test_changing_a_returned_array_changes_no_later_result():
+    dual, P = _harmonic_dual(), np.array([[0.3, 0.7], [0.6, 0.4]])
+    fresh = _harmonic_dual()
+    rho, L = np.asarray(dual.rho(P)), dual.loss(P)
+    rho[:], L[:] = -1.0, -1.0
+    assert _same(dual.rho(P), fresh.rho(P))
+    assert _same(dual.loss(P), fresh.loss(P))
+
+
+def test_threads_sharing_one_dual_msum_get_their_own_batches(monkeypatch):
+    # a fast stand-in solve whose value names its batch, so that many hits
+    # and replacements of the remembered batch interleave across threads
+    def solve(combiner, parts, Q):
+        (B, n), m = Q.shape, len(parts)
+        return Q @ np.arange(1.0, n + 1), *np.zeros((2, B, m, n)), np.zeros((B, m))
+
+    monkeypatch.setattr(calculus, "_solve_splitting", solve)
+    points = [np.array([0.3, 0.7]), np.array([0.6, 0.4])]
+    want = [float(p.max() * solve(None, (), (p / p.max())[None])[0][0]) for p in points]
+    dual, wrong = _harmonic_dual(), []
+
+    def work(k):
+        for r in range(2000):
+            j = (k + r // 3) % 2  # runs of three, so that calls hit
+            if dual.rho(points[j]) != want[j]:
+                wrong.append((k, r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_only_the_last_batch_is_retained(solves):
+    dual = _harmonic_dual(4)
+    grid = lg.simplex_grid(4, 12).points
+    assert grid.shape == (455, 4)
+    dual.rho(grid)
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    dual.rho(p)
+    dual.loss(p)
+    assert solves == [455, 1]
+
+    def cell(fn, name):
+        return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+    last = cell(cell(dual.bayes_risk.fn, "solve"), "last")
+    assert last[0] == (1, 4)
 
 
 # ---------------------------------------------------------------------------

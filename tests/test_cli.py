@@ -140,6 +140,35 @@ def test_verify_failure_exit_code(capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("substitute", "--loss", "zeroone:n=3", "--x=0.1,1.2,1.1"),
+        ("verify", "--loss", "log", "--resolution", "10"),
+    ],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_is_usage_error(capsys, monkeypatch, args, tol):
+    import lossgeom.cli as cli
+
+    def no_work(*a, **k):
+        raise AssertionError("ran before rejecting the tolerance")
+
+    monkeypatch.setattr(cli, "verify_all", no_work)
+    monkeypatch.setattr(cli, "substitute", no_work)
+    code, out, err = run_cli(capsys, *args, f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert "--tol must be a finite number" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_weightfn_non_finite_p1_is_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "weightfn", "--loss", "log", "--p", value)
+    assert code == 2 and out == ""
+    assert "p1 must be a finite number in (0, 1)" in err
+
+
 def test_verify_large_loss_entries_pass(capsys):
     # cnorm with a = -0.25 reaches loss entries of about 5e3 on this grid,
     # where rounding alone moves an entry by more than 1e-12

@@ -133,6 +133,12 @@ def test_weight_function_domain_checks():
         weight_function(lg.log_loss(2), 1e-6)
 
 
+@pytest.mark.parametrize("p1", [math.nan, math.inf, -0.5, 1.0])
+def test_weight_function_needs_a_finite_p1_in_the_open_interval(p1):
+    with pytest.raises(ValueError, match=r"p1 must be a finite number in \(0, 1\)"):
+        weight_function(lg.log_loss(2), p1)
+
+
 # ---------------------------------------------------------------------------
 # verification suite
 # ---------------------------------------------------------------------------

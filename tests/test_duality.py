@@ -205,6 +205,14 @@ def test_substitute_rejects_subboundary_point():
         substitute(lg.log_loss(2), [0.01, 0.01])
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_substitute_rejects_a_non_finite_tolerance(tol):
+    # l(1/3, 1/3, 1/3) = (2/3, 2/3, 2/3) does not dominate x, which a NaN or
+    # infinite tolerance would let through
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        substitute(lg.zero_one_loss(3), [0.1, 1.2, 1.1], tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # canonical link
 # ---------------------------------------------------------------------------
