@@ -93,7 +93,9 @@ def msum(spec: MSumSpec) -> ProperLoss:
 
     def loss_map(P):
         q = normalize_direction(P)
-        weights = combiner.loss(part_risks(q))  # (..., m)
+        R = part_risks(q)
+        # at r = 0 any l_M(c), here c = 1_m, is a supergradient: rho_M(r') <= <l_M(c), r'>
+        weights = combiner.loss(np.where(np.all(R == 0, axis=-1, keepdims=True), 1.0, R))
         stacked = np.stack([part.loss(q) for part in parts], axis=-1)  # (..., n, m)
         return np.einsum("...ym,...m->...y", stacked, weights)
 

@@ -11,9 +11,9 @@ is taken numerically over the simplex, for up to nine outcomes, by one
 solver batched over queries.  The ratio is quasi-convex, so an ellipsoid
 method cutting with the loss map (the one the dual M-sum of ``calculus``
 runs) locates its minimum and proves a lower bound, which each result
-carries as its certificate; descent and a snap onto ties refine the
-minimizer.  Each query is solved once: the antipolar loss map,
-``substitute`` and the CLI read their selection off it.
+carries as its certificate; a snap onto faces and ties and a Newton solve
+of the KKT system refine the minimizer.  Each query is solved once: the
+antipolar loss map, ``substitute`` and the CLI read their selection off it.
 
 The attained minimizer q* doubles as the supergradient of rho^ at x via the
 envelope identity  d rho^(x) = q* / rho(q*),  which is how numeric antipolar
@@ -120,28 +120,15 @@ _CHUNK = 32  # queries solved together; bounds the solver's memory for any B
 # relative gap at which a row stops cutting: 1e-11, less the 1e-12 by which a
 # value read off a loss map that splits a tie can undershoot one read off rho
 _STOP = 9e-12
-_STEPS = 0.5 ** np.arange(30)  # backtracking step sizes, tried as one block
+_NEWTON_STEPS = 12  # cap on the Newton steps of one row
+_H = 2.0 ** -26  # forward-difference step in log q
 _SNAP = 1e-9  # closeness at which coordinates are snapped to a face or a tie
 
 
 def _ratio(loss: ProperLoss, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """<x;q>/rho(q), +inf where rho(q) <= 0, for each query row x of X (R, n)
-    against one block of points per query, Q (R, M, n)."""
-    den = np.reshape(loss.bayes_risk(Q.reshape(-1, loss.n)), Q.shape[:-1])
-    num = (X[:, None, :] * Q).sum(axis=-1)
+    """<x;q>/rho(q) for the rows x of X and q of Q (B, n), +inf where rho(q) <= 0."""
+    den, num = loss.bayes_risk(Q), (X * Q).sum(axis=1)
     return np.divide(num, den, out=np.full(num.shape, np.inf), where=den > 0)
-
-
-def _project_rows_simplex(V: np.ndarray) -> np.ndarray:
-    """Project each row of V onto the simplex {x >= 0, sum x = 1} (Euclidean)."""
-    B, m = V.shape
-    U = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - 1.0
-    k = np.arange(1, m + 1)
-    cond = U - css / k > 0
-    rho_idx = m - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(B), rho_idx] / (rho_idx + 1)
-    return np.maximum(V - theta[:, None], 0.0)
 
 
 def _cut_ratio(loss: ProperLoss, X: np.ndarray):
@@ -185,35 +172,40 @@ def _cut_ratio(loss: ProperLoss, X: np.ndarray):
     return best_Q, lower
 
 
-def _descend(loss: ProperLoss, X: np.ndarray, Q: np.ndarray, V: np.ndarray) -> None:
-    """Projected gradient descent on the simplex from each row of Q (values
-    V), in place.  A row takes the first of its backtracking steps that
-    improves by more than 1e-15, and stops when none does, when the step is
-    shorter than 1e-13 or when its gradient is not finite."""
-    n = Q.shape[1]
-    live = np.isfinite(V)
-    for _ in range(300):
-        if not np.any(live):
-            break
+def _newton(loss: ProperLoss, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Newton's method on the KKT system of min <x;q>/rho(q) from each row of
+    Q (B, n) over its support F: r(z) = 0 in z = log q_F, r_y = log(l_y(q) /
+    x_y) less its value at the largest q_y, whose z stays put, with a forward-
+    difference Jacobian from one loss-map call per step.  A row stops when its
+    residual stops halving, or after _NEWTON_STEPS steps, at the last point
+    whose residual halved.  It is not evaluated where F has one point, x = 0
+    on F or rho <= 0, nor on a face for a numeric loss (the dual M-sum's)."""
+    F, n = Q > 0, Q.shape[1]
+    out, res = Q.copy(), np.full(Q.shape[0], np.inf)
+    live = (F.sum(axis=1) >= 2) & np.all(X > 0, axis=1, where=F) & (loss.analytic | F.all(axis=1))
+    Z, logx = np.log(Q), np.log(np.where(F, X, 1.0))  # Z = -inf off F
+    shifts = np.vstack([np.zeros(n), _H * np.eye(n)])  # the point and its n neighbours
+    for _ in range(_NEWTON_STEPS):
         idx = np.flatnonzero(live)
-        q = Q[idx]
-        r = loss.bayes_risk(q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = (X[idx] - V[idx, None] * loss.loss(q)) / r[:, None]
-        ok = (r > 0) & np.all(np.isfinite(grad), axis=1)
-        live[idx[~ok]] = False
-        idx, q, grad = idx[ok], q[ok], grad[ok]
-        C = (q[:, None, :] - _STEPS[:, None] * grad[:, None, :]).reshape(-1, n)
-        C = _project_rows_simplex(C)
-        C = np.maximum(C, 1e-14).reshape(idx.size, _STEPS.size, n)
-        C /= C.sum(axis=-1, keepdims=True)
-        cv = _ratio(loss, X[idx], C)
-        better = cv < V[idx, None] - 1e-15
-        rows, k = np.arange(idx.size), np.argmax(better, axis=1)
-        moved = better[rows, k]
-        settled = np.max(np.abs(C[rows, k] - q), axis=1) < 1e-13
-        Q[idx[moved]], V[idx[moved]] = C[rows, k][moved], cv[rows, k][moved]
-        live[idx[~moved | settled]] = False
+        if idx.size:
+            z = Z[idx] - Z[idx].max(axis=1, keepdims=True)
+            P = np.exp(z[:, None, :] + shifts)
+            P /= P.sum(axis=2, keepdims=True)  # (b, n + 1, n)
+            ok = loss.bayes_risk(P[:, 0]) > 0
+            live[idx[~ok]] = False
+            idx, P, ref = idx[ok], P[ok], np.argmax(z[ok], axis=1)
+        if idx.size == 0:
+            break
+        R = np.log(loss.loss_map(P.reshape(-1, n)).reshape(P.shape)) - logx[idx, None, :]
+        R = np.where(F[idx, None, :], R - np.take_along_axis(R, ref[:, None, None], axis=2), 0.0)
+        norm = np.max(np.abs(R[:, 0]), axis=1)
+        halved = norm < 0.5 * res[idx]  # False where the residual is not finite
+        out[idx[halved]], res[idx] = P[halved, 0], norm
+        J = np.swapaxes(R[:, 1:] - R[:, :1], 1, 2) / _H  # J[y, j] = d r_y / d z_j
+        J[np.arange(idx.size), :, ref] = 0.0
+        live[idx] = go = halved & np.all(np.isfinite(J), axis=(1, 2))
+        Z[idx[go]] -= np.sum(np.linalg.pinv(J[go]) * R[go, None, 0], axis=2)
+    return out
 
 
 def _minimize_ratio(loss: ProperLoss, X: np.ndarray):
@@ -235,18 +227,22 @@ def _minimize_ratio(loss: ProperLoss, X: np.ndarray):
         scale[scale <= 0] = 1.0
         Xc = X[start:start + _CHUNK] / scale[:, None]
         q, lower = _cut_ratio(loss, Xc)
-        v = _ratio(loss, Xc, q[:, None])[:, 0]
-        _descend(loss, Xc, q, v)
+        v = _ratio(loss, Xc, q)
         # kinked minimizers, such as the tie ridges of argmax losses, lie on
-        # faces and ties that cuts and descent only approach: where no worse,
+        # faces and ties that cuts only approach: where no worse,
         # coordinates within _SNAP of 0 or of each other are snapped there
         S = np.where(q <= _SNAP * q.max(axis=1, keepdims=True), 0.0, q)
         near = np.abs(S[:, :, None] - S[:, None, :]) <= _SNAP
         S = np.sum(near * S[:, None, :], axis=2) / np.sum(near, axis=2)
         S /= S.sum(axis=1, keepdims=True)
-        sv = _ratio(loss, Xc, S[:, None])[:, 0]
+        sv = _ratio(loss, Xc, S)
         keep = sv <= v
         q[keep], v[keep] = S[keep], sv[keep]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            N = _newton(loss, Xc, q)
+        nv = _ratio(loss, Xc, N)
+        keep = nv <= v * (1.0 + 1e-15)  # the ratio is flat: no worse up to rounding
+        q[keep], v[keep] = N[keep], nv[keep]
         # a bound that meets the value can pass it by a rounding error; one
         # past it by more was read off values that lost their precision (in
         # the cancellation near a vertex), so it is dropped for the bound 0
@@ -440,6 +436,7 @@ class PseudoInverseReport:
     worst_loss_error: float  # max ||l(p) - (l o l^ o l)(p)||_inf
     worst_direction_error: float  # max ||dir(l^(l(p))) - dir(p)||_inf
     tol: float
+    skipped: int = 0  # grid points whose loss vector is not finite and > 0
 
     def __str__(self) -> str:
         state = "pass" if self.passed else "FAIL"
@@ -452,19 +449,24 @@ class PseudoInverseReport:
 def check_pseudo_inverse(
     loss: ProperLoss, grid: SimplexGrid, tol: float = 1e-6
 ) -> PseudoInverseReport:
-    """Verify l = l o l^ o l and dir(l^ o l) = dir on the grid.
+    """Verify l = l o l^ o l and dir(l^ o l) = dir on the grid, at the points
+    whose loss vector is finite and > 0, where the antipolar loss is defined;
+    the report counts the points skipped.
 
     Meaningful for strictly proper losses (unique supergradients); at kink
     points of non-strictly-proper losses the chain depends on the selection.
     """
     lx = loss.loss(grid.points)
+    ok = np.all(np.isfinite(lx) & (lx > 0), axis=1)
+    lx, points = lx[ok], grid.points[ok]
     back = antipolar_loss(loss).loss(lx)
-    loss_err = np.where(np.isfinite(lx), np.abs(loss.loss(back) - lx), 0.0)
-    dir_err = np.abs(normalize_direction(back) - normalize_direction(grid.points))
+    loss_err = np.abs(loss.loss(back) - lx)
+    dir_err = np.abs(normalize_direction(back) - normalize_direction(points))
     worst_loss, worst_dir = (float(np.max(e, initial=0.0)) for e in (loss_err, dir_err))
     return PseudoInverseReport(
         passed=bool(worst_loss <= tol and worst_dir <= tol),
         worst_loss_error=worst_loss,
         worst_direction_error=worst_dir,
         tol=tol,
+        skipped=int(ok.size - np.count_nonzero(ok)),
     )

@@ -1,5 +1,6 @@
 """Composition (direct and dual), affine transforms, normalization, shifting."""
 
+import json
 import math
 import sys
 import threading
@@ -37,6 +38,15 @@ def test_msum_constant_combiner_is_sum_of_losses():
         assert float(combined.rho(p)) == pytest.approx(
             float(log2.rho(p)) + float(br2.rho(p)), abs=1e-12
         )
+
+
+def test_msum_loss_where_every_part_risk_vanishes(capsys):
+    # at a vertex each Brier risk is 0, yet each loss is finite: 2 (0, 2, 2)
+    br3 = lg.brier_loss(3)
+    combined = msum(MSumSpec(lg.constant_loss(2), (br3, br3)))
+    np.testing.assert_array_equal(combined.loss([1.0, 0.0, 0.0]), [0.0, 4.0, 4.0])
+    assert main(["eval", "--loss", "msum:combiner=const;parts=brier,brier", "--p=1,0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["loss_vector"] == [0.0, 4.0, 4.0]
 
 
 def test_msum_min_combiner_of_equal_parts():

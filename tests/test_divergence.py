@@ -159,6 +159,25 @@ def test_verify_all_log_passes():
     } <= names
 
 
+def _pseudo_inverse(rep):
+    return next(c for c in rep.checks if c.check_name == "pseudo_inverse")
+
+
+def test_verify_all_pseudo_inverse_is_one_check_for_every_chain():
+    # normloss has no closed antipolar, yet its round trip meets the closed
+    # chains' tolerance, with no point skipped
+    check = _pseudo_inverse(verify_all(lg.norm_loss(1.5, 5), lg.simplex_grid(5, 10)))
+    assert check.passed and check.tol == 1e-6 and check.witness is None
+
+
+def test_verify_all_skips_pseudo_inverse_points_without_a_positive_loss():
+    # at a = 0.999 the loss underflows to 0 on the boundary of the grid,
+    # where the antipolar loss is not defined
+    rep = verify_all(lg.cnorm_loss(0.999, 3), lg.simplex_grid(3, 10))
+    assert rep.passed, str(rep)
+    assert _pseudo_inverse(rep).witness == {"skipped": 30}
+
+
 def test_verify_all_detects_corruption():
     base = lg.log_loss(2)
 

@@ -17,6 +17,7 @@ from lossgeom.duality import (
     check_pseudo_inverse,
     substitute,
 )
+from lossgeom.families import _brier_antipolar_solve
 from conftest import (
     analytic_families,
     brier_antipolar_value_2d,
@@ -428,8 +429,10 @@ def test_solver_zero_one_three_way_tie():
     np.testing.assert_allclose(res.minimizer, [1 / 3, 0, 1 / 3, 1 / 3, 0], atol=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("spec", ["brier", "normloss:alpha=2", "log"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "spec", ["brier", "normloss:alpha=2", "normloss:alpha=3", "log", "cnorm:a=0.5", "cnorm:a=-1"]
+)
 def test_solver_minimizer_accuracy(spec, n, rng):
     # at x = c l(p) the ratio is least at q = p, with value c, for a strictly
     # proper loss: x = f l(q) is the stationarity condition on the cone
@@ -437,8 +440,22 @@ def test_solver_minimizer_accuracy(spec, n, rng):
     P = interior_points(n, 12, rng, margin=0.05)
     c = rng.uniform(0.5, 2.0, len(P))
     values, minimizers, _ = duality._minimize_ratio(loss, c[:, None] * loss.loss(P))
-    assert np.max(np.abs(minimizers - P)) <= 1e-7
+    assert np.max(np.abs(minimizers - P)) <= 1e-12
     np.testing.assert_allclose(values, c, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_solver_minimizers_on_faces(n):
+    # seeded Brier queries whose minimizers lie on a face: the numeric solve
+    # meets the closed form, zero coordinates included
+    loss = lg.brier_loss(n)
+    X = _queries(loss, 200, seed=3)
+    values, minimizers, _ = duality._minimize_ratio(loss, X)
+    closed_values, closed = _brier_antipolar_solve(X)
+    assert np.sum(np.any(closed == 0, axis=1)) >= 2
+    assert np.array_equal(minimizers == 0, closed == 0)
+    assert np.max(np.abs(minimizers - closed)) <= 1e-12
+    np.testing.assert_allclose(values, closed_values, rtol=1e-14)
 
 
 @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600])
@@ -453,6 +470,19 @@ def test_solver_is_homogeneous_at_extreme_scales(spec, scale):
         np.testing.assert_array_equal(got, want)
 
 
+# twice the Brier loss, through the numeric solver; at NEAR_VERTEX the part
+# risks of the solver's points can all round to 0
+MSUM_BRIERS = "msum:combiner=const;parts=brier:n=3,brier:n=3"
+NEAR_VERTEX = [2.6696168458114482e-14, 0.6933823555256008, 0.5618132230617171]
+
+
+def test_solver_near_a_vertex_of_an_msum():
+    loss = lg.build_loss(lg.parse_loss_spec(MSUM_BRIERS))
+    res = antipolar_bayes_risk(loss, NEAR_VERTEX)
+    truth = antipolar_bayes_risk(lg.brier_loss(3), NEAR_VERTEX).value / 2.0
+    assert res.value == pytest.approx(truth, rel=1e-9)
+
+
 def test_solver_claims_no_bound_where_the_loss_loses_precision():
     # the infimum 0.5 is reached only as q -> (1, 0, 0), where the Brier
     # terms 1 - |q|^2 cancel; a bound read off them passes the infimum
@@ -461,10 +491,14 @@ def test_solver_claims_no_bound_where_the_loss_loses_precision():
     assert values[0] - gaps[0] <= 0.5
 
 
-@pytest.mark.parametrize("spec", ["brier:n=3", "zeroone:n=3", "log:n=2"])
+@pytest.mark.parametrize(
+    "spec", ["brier:n=3", "zeroone:n=3", "log:n=2", "normloss:alpha=2,n=3", MSUM_BRIERS]
+)
 def test_solver_rows_do_not_depend_on_their_batch(spec):
     loss = lg.build_loss(lg.parse_loss_spec(spec))
     X = _queries(loss, duality._CHUNK + 5, seed=7)  # spans a chunk boundary
+    if spec == MSUM_BRIERS:
+        X[5] = NEAR_VERTEX
     batch = duality._minimize_ratio(loss, X)
     for i, x in enumerate(X):
         alone = duality._minimize_ratio(loss, x[None, :])
@@ -517,6 +551,14 @@ def test_substitute_solves_once(count_solves, spec):
     p = substitute(loss, x)
     assert count_solves == ([] if spec.startswith("brier") else [1])
     assert np.all(loss.loss(p) <= x + 1e-6)
+
+
+@pytest.mark.parametrize("spec", ["normloss:alpha=2,n=3", "normloss:alpha=3,n=4"])
+def test_substitute_dominates_to_rounding_on_numeric_antipolars(spec, rng):
+    # on the boundary x = l(p) only an exact minimizer dominates x to 1e-12
+    loss = lg.build_loss(lg.parse_loss_spec(spec))
+    for x in loss.loss(interior_points(loss.n, 8, rng)):
+        assert np.all(loss.loss(substitute(loss, x, tol=1e-12)) <= x + 1e-12)
 
 
 def test_cli_antipolar_solves_once(count_solves, capsys):
