@@ -16,6 +16,7 @@ of the Bayes-risk maximizer.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -384,12 +385,4 @@ def shift_maximum(loss: ProperLoss, p0, c: float | None = None) -> ProperLoss:
     if c <= 0:
         raise ValueError("normalizing constant must be positive")
     shifted = scale_translate(loss, c, c * t)
-    return ProperLoss(
-        bayes_risk=shifted.bayes_risk,
-        loss_map=shifted.loss_map,
-        name=f"shiftmax({loss.name})",
-        n=loss.n,
-        strictly_proper=loss.strictly_proper,
-        analytic=loss.analytic,
-        maximizer=p0.copy(),
-    )
+    return dataclasses.replace(shifted, name=f"shiftmax({loss.name})", maximizer=p0.copy())

@@ -155,11 +155,38 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _pair_subsample(G: int, limit: int = 700) -> np.ndarray:
-    if G <= limit:
-        return np.arange(G)
-    stride = int(np.ceil(G / limit))
-    return np.arange(0, G, stride)
+def _pair_subsample(G: int, limit: int) -> np.ndarray:
+    # every k-th grid point, k the smallest stride that keeps at most limit
+    return np.arange(0, G, int(np.ceil(G / limit)))
+
+
+# each check's tolerance for an (analytic, numeric) loss, None for the base
+# tolerance: ``tol`` if given, else 1e-9 and 1e-4 (reverse Hoelder is skipped
+# for numeric losses, and pseudo_inverse reports its own)
+_TOLERANCES = {
+    "properness": (None, None),
+    "consistency": (None, None),
+    "one_homogeneity": (1e-10, 1e-4),
+    "zero_homogeneity": (1e-12, None),
+    "superadditivity": (1e-9, None),
+    "supergradient": (None, None),
+    "bregman_nonnegative": (1e-10, None),
+    "reverse_hoelder": (1e-6, None),
+}
+
+
+def _worst(viol: np.ndarray, floor: float | None = None) -> tuple:
+    """``(worst, *index)`` of the first largest entry of ``viol``, NaN ranked
+    first as by np.argmax.  Given a floor, a group ``viol[g]`` (a scale, a
+    sample) that holds a NaN is left out, and a worst not above the floor is
+    the floor itself, with no index."""
+    if floor is not None:
+        nan = np.isnan(viol).any(axis=tuple(range(1, viol.ndim)), keepdims=True)
+        viol = np.where(nan, floor, viol)
+        if not viol.size or not np.max(viol) > floor:
+            return (floor,)
+    k = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    return (float(viol[k]), *map(int, k))
 
 
 def verify_all(
@@ -170,161 +197,93 @@ def verify_all(
 ) -> SuiteReport:
     """Run the full property suite for one loss on a simplex grid.
 
-    Checks: grid-pair properness, pairing consistency <l(p),p> = rho(p),
-    1-homogeneity of the Bayes risk, 0-homogeneity of the loss map,
-    superadditivity, the supergradient inequality, Bregman nonnegativity,
-    the pseudo-inverse round trip (strictly proper losses; 50 points at 1e-6
-    for any antipolar, counting those skipped for a loss vector not finite
-    and > 0) and the reverse Hoelder inequality at superprediction points.
-
-    ``tol`` scales the main properness/consistency thresholds; the default
-    is 1e-9 for analytic losses and 1e-4 for numeric pipelines.
+    Checks, in report order: grid-pair properness, pairing consistency
+    <l(p),p> = rho(p), 1-homogeneity of the Bayes risk and 0-homogeneity of
+    the loss map at the scales 0.5, 2 and 10, superadditivity, the
+    supergradient inequality, Bregman nonnegativity, the pseudo-inverse round
+    trip (strictly proper losses; 50 points at 1e-6, counting those skipped
+    for a loss vector not finite and > 0) and the reverse Hoelder inequality
+    at sampled superprediction points.  Each other check reduces one array of
+    violations with ``_worst`` and names a witness at its worst entry (none
+    for a homogeneity worst of 0).  ``tol`` sets ``_TOLERANCES``' base.
     """
     if grid is None:
         grid = simplex_grid(loss.n, 25)
-    base_tol = tol if tol is not None else (1e-9 if loss.analytic else 1e-4)
-    tight = 1e-10 if loss.analytic else 1e-4
+    numeric = int(not loss.analytic)  # column of the (analytic, numeric) pairs
+    base = tol if tol is not None else (1e-9, 1e-4)[numeric]
+    tols = {c: base if t[numeric] is None else t[numeric] for c, t in _TOLERANCES.items()}
     P = grid.points
     G = P.shape[0]
-    checks: list[CheckResult] = []
+
+    def check(name, found, **named):
+        # the witness takes each named array at the worst's index, in order
+        worst, *index = found
+        witness = {key: np.asarray(v)[i].tolist() for (key, v), i in zip(named.items(), index)}
+        t = tols[name]
+        return CheckResult(name, bool(worst <= t), float(worst), witness if index else None, t)
+
+    def skip(name, reason):
+        return CheckResult(name, None, None, f"skipped: {reason}", None)
 
     L = loss.loss(P)
     rho_vals = np.asarray(loss.bayes_risk(P), dtype=np.float64)
-    diag = np.einsum("ij,ij->i", L, P)
-
-    # properness, supergradient inequality and Bregman nonnegativity over all
-    # grid pairs, in one scan
+    # properness, the supergradient inequality rho(q) <= rho(p) + <l(p); q - p>
+    # and Bregman nonnegativity <l(q); p> - <l(p); p> >= 0, in one pair scan
     scan = worst_properness_violation(L, P, rho_vals)
-    worst, wi, wj = scan.properness
-    checks.append(
-        CheckResult(
-            "properness", bool(worst <= base_tol), float(worst),
-            {"p": P[wi].tolist(), "q": P[wj].tolist()}, base_tol,
-        )
-    )
+    consistency = np.abs(np.einsum("ij,ij->i", L, P) - rho_vals)
+    checks = [
+        check("properness", scan.properness, p=P, q=P),
+        check("consistency", _worst(consistency), p=P),
+    ]
 
-    # pairing consistency
-    cons = np.abs(diag - rho_vals)
-    k = int(np.argmax(cons))
-    checks.append(
-        CheckResult(
-            "consistency", bool(cons[k] <= base_tol), float(cons[k]),
-            {"p": P[k].tolist()}, base_tol,
-        )
-    )
-
-    # 1-homogeneity of the Bayes risk
-    worst_h = 0.0
-    wit_h = None
-    for alpha in (0.5, 2.0, 10.0):
-        v = np.abs(
-            np.asarray(loss.bayes_risk(alpha * P)) - alpha * rho_vals
-        ) / (1.0 + alpha * np.abs(rho_vals))
-        k = int(np.argmax(v))
-        if v[k] > worst_h:
-            worst_h, wit_h = float(v[k]), {"alpha": alpha, "p": P[k].tolist()}
-    checks.append(
-        CheckResult("one_homogeneity", bool(worst_h <= tight), worst_h, wit_h, tight)
-    )
-
-    # 0-homogeneity of the loss map, relative to entries above 1: rounding
-    # alone moves an entry of 5e3 by more than 1e-12
-    worst_z = 0.0
-    wit_z = None
-    for alpha in (0.5, 2.0, 10.0):
-        La = loss.loss(alpha * P)
-        finite = np.isfinite(L)
-        v = np.abs(np.where(finite, La - L, 0.0)) / np.maximum(1.0, np.abs(L))
-        k = int(np.argmax(v.max(axis=1)))
-        if float(v[k].max()) > worst_z:
-            worst_z = float(v[k].max())
-            wit_z = {"alpha": alpha, "p": P[k].tolist()}
-    zh_tol = 1e-12 if loss.analytic else base_tol
-    checks.append(
-        CheckResult("zero_homogeneity", bool(worst_z <= zh_tol), worst_z, wit_z, zh_tol)
-    )
+    # one Bayes risk call, then one loss map call, per scale: the dual M-sum's
+    # remembered solve then serves 0.5 and 2.  The loss map's defect is
+    # relative to entries above 1: rounding moves an entry of 5e3 by > 1e-12
+    A = np.array([[0.5], [2.0], [10.0]])  # the scales, one per row
+    AP = A[:, :, None] * P
+    R = np.stack([np.asarray(loss.bayes_risk(Q)) for Q in AP])
+    one = np.abs(R - A * rho_vals) / (1.0 + A * np.abs(rho_vals))
+    drift = np.stack([loss.loss(Q) for Q in AP]) - L
+    zero = np.abs(np.where(np.isfinite(L), drift, 0.0)) / np.maximum(1.0, np.abs(L))
+    checks += [
+        check("one_homogeneity", _worst(one, 0.0), alpha=A[:, 0], p=P),
+        check("zero_homogeneity", _worst(zero, 0.0), alpha=A[:, 0], p=P),
+    ]
 
     # superadditivity on (subsampled) grid pairs; numeric pipelines price
     # every rho evaluation as an inner optimization, so they get fewer pairs
-    idx = _pair_subsample(G, 700 if loss.analytic else 60)
-    Ps = P[idx]
-    rs = rho_vals[idx]
-    sums = Ps[:, None, :] + Ps[None, :, :]
-    rho_sum = np.asarray(
-        loss.bayes_risk(sums.reshape(-1, loss.n)), dtype=np.float64
-    ).reshape(len(idx), len(idx))
-    sup_viol = rs[:, None] + rs[None, :] - rho_sum
-    k = int(np.argmax(sup_viol))
-    ki, kj = divmod(k, len(idx))
-    sup_tol = 1e-9 if loss.analytic else base_tol
-    checks.append(
-        CheckResult(
-            "superadditivity", bool(sup_viol[ki, kj] <= sup_tol),
-            float(sup_viol[ki, kj]),
-            {"p": Ps[ki].tolist(), "q": Ps[kj].tolist()}, sup_tol,
-        )
-    )
-
-    # supergradient inequality rho(q) <= rho(p) + <l(p); q - p>
-    worst, ki, kj = scan.supergradient
-    checks.append(
-        CheckResult(
-            "supergradient", bool(worst <= base_tol), worst,
-            {"p": P[ki].tolist(), "q": P[kj].tolist()}, base_tol,
-        )
-    )
-
-    # Bregman nonnegativity B(p, q) = <l(q); p> - <l(p); p> >= 0
-    worst, ki, kj = scan.bregman
-    br_tol = 1e-10 if loss.analytic else base_tol
-    checks.append(
-        CheckResult(
-            "bregman_nonnegative", bool(worst <= br_tol), worst,
-            {"p": P[ki].tolist(), "q": P[kj].tolist()}, br_tol,
-        )
-    )
+    idx = _pair_subsample(G, (700, 60)[numeric])
+    Ps, rs = P[idx], rho_vals[idx]
+    sums = (Ps[:, None, :] + Ps[None, :, :]).reshape(-1, loss.n)
+    rho_sum = np.asarray(loss.bayes_risk(sums), dtype=np.float64).reshape(idx.size, idx.size)
+    checks += [
+        check("superadditivity", _worst(rs[:, None] + rs[None, :] - rho_sum), p=Ps, q=Ps),
+        check("supergradient", scan.supergradient, p=P, q=P),
+        check("bregman_nonnegative", scan.bregman, p=P, q=P),
+    ]
 
     # pseudo-inverse round trip (needs unique supergradients)
     if loss.strictly_proper:
-        sub = P[_pair_subsample(G, 50)]
-        rep = check_pseudo_inverse(loss, SimplexGrid(sub, loss.n, grid.resolution, grid.margin))
-        checks.append(
-            CheckResult(
-                "pseudo_inverse", rep.passed,
-                max(rep.worst_loss_error, rep.worst_direction_error),
-                {"skipped": rep.skipped} if rep.skipped else None, rep.tol,
-            )
-        )
+        sub = SimplexGrid(P[_pair_subsample(G, 50)], loss.n, grid.resolution, grid.margin)
+        rep = check_pseudo_inverse(loss, sub)
+        worst = max(rep.worst_loss_error, rep.worst_direction_error)
+        skipped = {"skipped": rep.skipped} if rep.skipped else None
+        checks.append(CheckResult("pseudo_inverse", rep.passed, worst, skipped, rep.tol))
     else:
-        checks.append(CheckResult("pseudo_inverse", None, None, "skipped: not strictly proper", None))
+        checks.append(skip("pseudo_inverse", "not strictly proper"))
 
     # reverse Hoelder on sampled superprediction points, whose antipolars are
     # solved as one batch; a sample costs a full antipolar minimization, so
     # this check only runs when rho itself is closed form
-    if loss.analytic:
+    if not numeric:
         rng = np.random.default_rng(seed)
         sample_idx = rng.choice(G, size=min(12, G), replace=False)
         sample_idx = sample_idx[np.all(np.isfinite(L[sample_idx]), axis=1)]
         X = L[sample_idx] + rng.uniform(0.0, 0.5, size=(sample_idx.size, loss.n))
-        worst_rh = -np.inf
-        wit_rh = None
-        rh_tol = 1e-6
-        for x, apolar_val in zip(X, antipolar_loss(loss).rho(X)):
-            viol = float(np.max(apolar_val * rho_vals - P @ x))
-            if viol > worst_rh:
-                worst_rh, wit_rh = viol, {"x": x.tolist()}
-        checks.append(
-            CheckResult(
-                "reverse_hoelder", bool(worst_rh <= rh_tol), float(worst_rh),
-                wit_rh, rh_tol,
-            )
-        )
+        # one matrix-vector product per sample, each rounded as P @ x is
+        PX = np.matmul(P, X[:, :, None])[..., 0]
+        gap = antipolar_loss(loss).rho(X)[:, None] * rho_vals - PX
+        checks.append(check("reverse_hoelder", _worst(gap, -np.inf), x=X))
     else:
-        checks.append(
-            CheckResult(
-                "reverse_hoelder", None, None,
-                "skipped: Bayes risk is itself numeric", None,
-            )
-        )
-
+        checks.append(skip("reverse_hoelder", "Bayes risk is itself numeric"))
     return SuiteReport(loss_name=loss.name, checks=checks)

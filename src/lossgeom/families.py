@@ -195,10 +195,7 @@ def _log_antipolar_beta(x: np.ndarray, n: int) -> np.ndarray:
         lo = np.full(Z.shape[0], 1e-18)
         hi = np.full(Z.shape[0], 2.0 / math.log(n))
         g = lambda b: np.expm1(z_min / b) + np.sum(np.exp(rest / b[:, None]), axis=-1)
-        grow = g(hi) < 0.0
-        while np.any(grow):  # pragma: no cover - bracket is generous
-            hi[grow] *= 2.0
-            grow = g(hi) < 0.0
+        # hi brackets the root: g(hi) = sum_y n^(-Z_y/2) - 1 >= n^(1-1/(2n)) - 1 >= 0.68 (Jensen)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             below = g(mid) < 0.0

@@ -159,14 +159,14 @@ def test_verify_all_log_passes():
     } <= names
 
 
-def _pseudo_inverse(rep):
-    return next(c for c in rep.checks if c.check_name == "pseudo_inverse")
+def _check(rep, name):
+    return next(c for c in rep.checks if c.check_name == name)
 
 
 def test_verify_all_pseudo_inverse_is_one_check_for_every_chain():
     # normloss has no closed antipolar, yet its round trip meets the closed
     # chains' tolerance, with no point skipped
-    check = _pseudo_inverse(verify_all(lg.norm_loss(1.5, 5), lg.simplex_grid(5, 10)))
+    check = _check(verify_all(lg.norm_loss(1.5, 5), lg.simplex_grid(5, 10)), "pseudo_inverse")
     assert check.passed and check.tol == 1e-6 and check.witness is None
 
 
@@ -175,7 +175,7 @@ def test_verify_all_skips_pseudo_inverse_points_without_a_positive_loss():
     # where the antipolar loss is not defined
     rep = verify_all(lg.cnorm_loss(0.999, 3), lg.simplex_grid(3, 10))
     assert rep.passed, str(rep)
-    assert _pseudo_inverse(rep).witness == {"skipped": 30}
+    assert _check(rep, "pseudo_inverse").witness == {"skipped": 30}
 
 
 def test_verify_all_detects_corruption():
@@ -196,7 +196,7 @@ def test_verify_all_detects_corruption():
     assert "p" in witness and "q" in witness
 
 
-def test_verify_all_detects_zero_homogeneity_defect():
+def _drifting_log3():
     # l(alpha p) = l(p) (1 + 1e-9 log alpha): a relative defect of 2.3e-9
     # at alpha = 10, on a loss whose entries exceed 1
     base = lg.log_loss(3)
@@ -205,13 +205,112 @@ def test_verify_all_detects_zero_homogeneity_defect():
         scale = np.sum(p, axis=-1, keepdims=True)
         return base.loss(p) * (1.0 + 1e-9 * np.log(scale))
 
-    bad = lg.ProperLoss(
+    return lg.ProperLoss(
         bayes_risk=base.bayes_risk, loss_map=drifting_map, name="drifting", n=3
     )
-    rep = verify_all(bad, lg.simplex_grid(3, 10))
-    check = [c for c in rep.checks if c.check_name == "zero_homogeneity"][0]
+
+
+def test_verify_all_detects_zero_homogeneity_defect():
+    grid = lg.simplex_grid(3, 10)
+    check = _check(verify_all(_drifting_log3(), grid), "zero_homogeneity")
     assert check.passed is False
     assert check.worst_violation == pytest.approx(1e-9 * math.log(10.0), rel=1e-3)
+    # the witness is the worst scale and the first grid point with a loss
+    # entry above 1, where the whole relative drift shows
+    first = int(np.argmax(np.max(lg.log_loss(3).loss(grid.points), axis=1) >= 1.0))
+    assert check.witness == {"alpha": 10.0, "p": grid.points[first].tolist()}
+    assert list(check.witness) == ["alpha", "p"]
+
+
+@pytest.mark.parametrize("spec", ["zeroone:n=3", "const:n=3", "cnorm:a=1,n=3"])
+def test_homogeneity_check_at_zero_has_no_witness(spec):
+    loss = lg.build_loss(lg.parse_loss_spec(spec))
+    rep = verify_all(loss, lg.simplex_grid(3, 10))
+    exact = [
+        c for c in rep.checks
+        if c.check_name.endswith("_homogeneity") and c.worst_violation == 0.0
+    ]
+    assert "zero_homogeneity" in {c.check_name for c in exact}
+    assert all(c.passed and c.witness is None for c in exact)
+
+
+def _loop_reference(loss, grid, seed=0):
+    """The homogeneity and reverse Hoelder checks as loops over the scales
+    and the samples, keeping the first strictly larger worst."""
+    P = grid.points
+    L, rho = loss.loss(P), np.asarray(loss.bayes_risk(P), dtype=np.float64)
+    one = zero = (0.0, None)
+    for alpha in (0.5, 2.0, 10.0):
+        v = np.abs(np.asarray(loss.bayes_risk(alpha * P)) - alpha * rho) / (
+            1.0 + alpha * np.abs(rho)
+        )
+        k = int(np.argmax(v))
+        if v[k] > one[0]:
+            one = (float(v[k]), {"alpha": alpha, "p": P[k].tolist()})
+    for alpha in (0.5, 2.0, 10.0):
+        d = np.where(np.isfinite(L), loss.loss(alpha * P) - L, 0.0)
+        v = np.abs(d) / np.maximum(1.0, np.abs(L))
+        k = int(np.argmax(v.max(axis=1)))
+        if v[k].max() > zero[0]:
+            zero = (float(v[k].max()), {"alpha": alpha, "p": P[k].tolist()})
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(P), size=min(12, len(P)), replace=False)
+    idx = idx[np.all(np.isfinite(L[idx]), axis=1)]
+    X = L[idx] + rng.uniform(0.0, 0.5, size=(idx.size, loss.n))
+    rh = (-np.inf, None)
+    for x, value in zip(X, lg.antipolar_loss(loss).rho(X)):
+        viol = float(np.max(value * rho - P @ x))
+        if viol > rh[0]:
+            rh = (viol, {"x": x.tolist()})
+    return {"one_homogeneity": one, "zero_homogeneity": zero, "reverse_hoelder": rh}
+
+
+def _nan_at_scale_2():
+    # a Bayes risk that is NaN on the points of sum 2, as at the scale 2
+    base = lg.log_loss(3)
+
+    def rho(P):
+        return np.where(np.isclose(np.sum(P, axis=-1), 2.0), np.nan, base.bayes_risk(P))
+
+    return lg.ProperLoss(bayes_risk=rho, loss_map=base.loss_map, name="nan@2", n=3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lg.log_loss(3),
+    lambda: lg.brier_loss(4),
+    lambda: lg.cnorm_loss(0.5, 3),
+    lambda: lg.norm_loss(2.0, 3),
+    lambda: lg.zero_one_loss(3),
+    _drifting_log3,
+    _nan_at_scale_2,
+], ids=["log", "brier", "cnorm", "normloss", "zeroone", "drifting", "nan"])
+def test_reduced_checks_equal_their_loops_bit_for_bit(make):
+    loss = make()
+    grid = lg.simplex_grid(loss.n, 9)
+    reference = _loop_reference(loss, grid, seed=3)
+    for c in verify_all(loss, grid, seed=3).checks:
+        if c.check_name in reference:
+            assert (c.worst_violation, c.witness) == reference[c.check_name], c.check_name
+
+
+_CHECK_NAMES = [
+    "properness", "consistency", "one_homogeneity", "zero_homogeneity",
+    "superadditivity", "supergradient", "bregman_nonnegative", "pseudo_inverse",
+    "reverse_hoelder",
+]
+
+
+@pytest.mark.parametrize("spec, n, tol, expected", [
+    ("log", 3, None, (1e-9, 1e-9, 1e-10, 1e-12, 1e-9, 1e-9, 1e-10, 1e-6, 1e-6)),
+    ("log", 3, 1e-3, (1e-3, 1e-3, 1e-10, 1e-12, 1e-9, 1e-3, 1e-10, 1e-6, 1e-6)),
+    ("msum:combiner=cnorm:a=1;parts=log,brier;mode=dual", 2, None,
+     (1e-4,) * 7 + (None, None)),
+], ids=["analytic", "analytic-tol", "numeric"])
+def test_verify_all_check_order_and_tolerances(spec, n, tol, expected):
+    loss = lg.build_loss(lg.parse_loss_spec(spec), n)
+    rep = verify_all(loss, lg.simplex_grid(n, 10), tol=tol)
+    assert [c.check_name for c in rep.checks] == _CHECK_NAMES
+    assert tuple(c.tol for c in rep.checks) == expected
 
 
 def test_verify_all_constant_loss():
