@@ -308,8 +308,8 @@ def scale_translate(loss: ProperLoss, alpha: float, t=None) -> ProperLoss:
     def loss_map(P):
         return alpha * loss.loss(P) + tv
 
-    uniform_shift = np.allclose(tv, tv[0])
-    new_max = loss.maximizer if (pure_scale or uniform_shift) else None
+    # only an exactly uniform shift keeps the maximizer (a near one moves it)
+    new_max = loss.maximizer if np.all(tv == tv[0]) else None
     label = f"scale({loss.name},{alpha:g})" if pure_scale else (
         f"affine({loss.name},{alpha:g})"
     )

@@ -5,21 +5,27 @@ For a proper loss the regret L(p, q) - rho(p) collapses to the pairing
 B(p, q) = <l(q) - l(p); p>, the Bregman divergence of -rho; the anti semi
 inner product [y, x] = rho(x) * <l(x); y> satisfies a reverse Cauchy-Schwarz
 inequality, which is properness in disguise.
+
+Every check of ``verify_all`` is a ``geometry.CheckResult``, as in the other
+verifiers: it passes when its worst violation is at most its tolerance (a
+NaN fails), and a NaN or infinite ``tol`` raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from ._kernels import worst_properness_violation
 from .duality import antipolar_loss, check_pseudo_inverse
 from .geometry import (
+    CheckResult,
     ProperLoss,
     SimplexGrid,
+    _check,
     _coerce,
+    _finite_tol,
     inner,
     simplex_grid,
 )
@@ -109,24 +115,6 @@ def weight_function(loss: ProperLoss, p1: float, h: float = 1e-4) -> float:
 # consolidated verification suite
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class CheckResult:
-    check_name: str
-    passed: bool | None  # None = skipped
-    worst_violation: float | None
-    witness: Any
-    tol: float | None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "pass": self.passed,
-            "worst_violation": self.worst_violation,
-            "witness": self.witness,
-            "tol": self.tol,
-        }
-
-
-@dataclass(frozen=True)
 class SuiteReport:
     loss_name: str
     checks: list[CheckResult] = field(default_factory=list)
@@ -143,16 +131,7 @@ class SuiteReport:
         }
 
     def __str__(self) -> str:
-        lines = [f"verification of {self.loss_name}:"]
-        for c in self.checks:
-            if c.passed is None:
-                lines.append(f"  {c.check_name:<22} skipped")
-            else:
-                state = "pass" if c.passed else "FAIL"
-                lines.append(
-                    f"  {c.check_name:<22} {state}  worst {c.worst_violation:.3e}"
-                )
-        return "\n".join(lines)
+        return "\n".join([f"verification of {self.loss_name}:"] + [f"  {c}" for c in self.checks])
 
 
 def _pair_subsample(G: int, limit: int) -> np.ndarray:
@@ -177,14 +156,10 @@ _TOLERANCES = {
 
 def _worst(viol: np.ndarray, floor: float | None = None) -> tuple:
     """``(worst, *index)`` of the first largest entry of ``viol``, NaN ranked
-    first as by np.argmax.  Given a floor, a group ``viol[g]`` (a scale, a
-    sample) that holds a NaN is left out, and a worst not above the floor is
-    the floor itself, with no index."""
-    if floor is not None:
-        nan = np.isnan(viol).any(axis=tuple(range(1, viol.ndim)), keepdims=True)
-        viol = np.where(nan, floor, viol)
-        if not viol.size or not np.max(viol) > floor:
-            return (floor,)
+    first as by np.argmax, so that a NaN fails every check.  Given a floor, a
+    worst not above the floor is the floor itself, with no index."""
+    if floor is not None and (not viol.size or np.max(viol) <= floor):
+        return (floor,)
     k = np.unravel_index(int(np.argmax(viol)), viol.shape)
     return (float(viol[k]), *map(int, k))
 
@@ -205,22 +180,19 @@ def verify_all(
     for a loss vector not finite and > 0) and the reverse Hoelder inequality
     at sampled superprediction points.  Each other check reduces one array of
     violations with ``_worst`` and names a witness at its worst entry (none
-    for a homogeneity worst of 0).  ``tol`` sets ``_TOLERANCES``' base.
+    for a homogeneity worst of 0).  ``tol`` sets ``_TOLERANCES``' base; it
+    must be finite.
     """
     if grid is None:
         grid = simplex_grid(loss.n, 25)
     numeric = int(not loss.analytic)  # column of the (analytic, numeric) pairs
-    base = tol if tol is not None else (1e-9, 1e-4)[numeric]
+    base = _finite_tol(tol) if tol is not None else (1e-9, 1e-4)[numeric]
     tols = {c: base if t[numeric] is None else t[numeric] for c, t in _TOLERANCES.items()}
     P = grid.points
     G = P.shape[0]
 
     def check(name, found, **named):
-        # the witness takes each named array at the worst's index, in order
-        worst, *index = found
-        witness = {key: np.asarray(v)[i].tolist() for (key, v), i in zip(named.items(), index)}
-        t = tols[name]
-        return CheckResult(name, bool(worst <= t), float(worst), witness if index else None, t)
+        return _check(name, found, tols[name], **named)
 
     def skip(name, reason):
         return CheckResult(name, None, None, f"skipped: {reason}", None)
@@ -265,10 +237,7 @@ def verify_all(
     # pseudo-inverse round trip (needs unique supergradients)
     if loss.strictly_proper:
         sub = SimplexGrid(P[_pair_subsample(G, 50)], loss.n, grid.resolution, grid.margin)
-        rep = check_pseudo_inverse(loss, sub)
-        worst = max(rep.worst_loss_error, rep.worst_direction_error)
-        skipped = {"skipped": rep.skipped} if rep.skipped else None
-        checks.append(CheckResult("pseudo_inverse", rep.passed, worst, skipped, rep.tol))
+        checks.append(check_pseudo_inverse(loss, sub))
     else:
         checks.append(skip("pseudo_inverse", "not strictly proper"))
 

@@ -20,6 +20,9 @@ envelope identity  d rho^(x) = q* / rho(q*),  which is how numeric antipolar
 loss maps are evaluated.  Where a closed-form loss map is undefined or
 infinite at x (an infimum reached only in the limit on the face where x is
 least), the minimizer is the uniform point of that face.
+
+``check_pseudo_inverse`` verifies the round trip l o l^ o l = l and reports
+it as a ``geometry.CheckResult``, the entry ``verify_all`` lists for it.
 """
 
 from __future__ import annotations
@@ -31,16 +34,17 @@ import numpy as np
 
 from .geometry import (
     BayesRisk,
+    CheckResult,
     ProperLoss,
     SimplexGrid,
     _coerce,
+    _finite_tol,
     normalize_direction,
     simplex_grid,
 )
 
 __all__ = [
     "AntipolarResult",
-    "PseudoInverseReport",
     "antipolar_bayes_risk",
     "antipolar_loss",
     "antigauge",
@@ -352,9 +356,12 @@ def antigauge(
 
     ``method='support'`` evaluates it as the antipolar Bayes risk at x
     (gauge/support duality; exact up to the antipolar solver).
-    ``method='bisection'`` brackets lambda with a grid membership test
-    min_q (<x/lambda; q> - rho(q)) >= 0; its accuracy is limited by the
-    membership grid, so it serves as an independent cross-check.
+    ``method='bisection'`` returns the largest lambda that passes the grid
+    membership test min_q (<x/lambda; q> - rho(q)) >= 0, which a bisection
+    would converge to: the minimum of <x; q>/rho(q) over the points q of
+    ``simplex_grid(n, grid_resolution)`` with rho(q) > 0.  It is an upper
+    bound whose accuracy is limited by the grid, so it serves as an
+    independent cross-check.
     """
     xa = _coerce(x, loss.n)
     if method == "support":
@@ -363,22 +370,8 @@ def antigauge(
         raise ValueError(f"unknown method {method!r}")
     grid = simplex_grid(loss.n, grid_resolution).points
     rho_vals = np.asarray(loss.bayes_risk(grid))
-
-    def member(lam: float) -> bool:
-        return bool(np.all(grid @ (xa / lam) - rho_vals >= -1e-12))
-
-    lo, hi = 1e-12, 1.0
-    while member(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    pos = rho_vals > 0
+    return float(np.min((grid[pos] @ xa) / rho_vals[pos], initial=np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +385,7 @@ def substitute(loss: ProperLoss, x, tol: float = 1e-6) -> np.ndarray:
     x, the direction of the antipolar loss there; componentwise dominance is
     verified before returning.
     """
-    if not np.isfinite(tol):  # a NaN or +inf tolerance passes any loss
-        raise ValueError(f"tol must be a finite number, got {tol!r}")
+    _finite_tol(tol)
     xa = _coerce(x, loss.n)
     result = antipolar_bayes_risk(loss, xa)
     beta = result.value
@@ -430,43 +422,23 @@ def canonical_link_composite(loss: ProperLoss):
 # ---------------------------------------------------------------------------
 # pseudo-inverse verification
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PseudoInverseReport:
-    passed: bool
-    worst_loss_error: float  # max ||l(p) - (l o l^ o l)(p)||_inf
-    worst_direction_error: float  # max ||dir(l^(l(p))) - dir(p)||_inf
-    tol: float
-    skipped: int = 0  # grid points whose loss vector is not finite and > 0
-
-    def __str__(self) -> str:
-        state = "pass" if self.passed else "FAIL"
-        return (
-            f"pseudo-inverse {state}: loss error {self.worst_loss_error:.3e}, "
-            f"direction error {self.worst_direction_error:.3e} (tol {self.tol:.1e})"
-        )
-
-
-def check_pseudo_inverse(
-    loss: ProperLoss, grid: SimplexGrid, tol: float = 1e-6
-) -> PseudoInverseReport:
+def check_pseudo_inverse(loss: ProperLoss, grid: SimplexGrid, tol: float = 1e-6) -> CheckResult:
     """Verify l = l o l^ o l and dir(l^ o l) = dir on the grid, at the points
-    whose loss vector is finite and > 0, where the antipolar loss is defined;
-    the report counts the points skipped.
+    whose loss vector is finite and > 0, where the antipolar loss is defined.
 
+    The worst is the larger of the loss and direction errors, NaN if either
+    is; the witness ``{"skipped": k}`` counts the other points, if any.
     Meaningful for strictly proper losses (unique supergradients); at kink
     points of non-strictly-proper losses the chain depends on the selection.
     """
+    _finite_tol(tol)
     lx = loss.loss(grid.points)
     ok = np.all(np.isfinite(lx) & (lx > 0), axis=1)
     lx, points = lx[ok], grid.points[ok]
     back = antipolar_loss(loss).loss(lx)
     loss_err = np.abs(loss.loss(back) - lx)
     dir_err = np.abs(normalize_direction(back) - normalize_direction(points))
-    worst_loss, worst_dir = (float(np.max(e, initial=0.0)) for e in (loss_err, dir_err))
-    return PseudoInverseReport(
-        passed=bool(worst_loss <= tol and worst_dir <= tol),
-        worst_loss_error=worst_loss,
-        worst_direction_error=worst_dir,
-        tol=tol,
-        skipped=int(ok.size - np.count_nonzero(ok)),
-    )
+    worst = float(np.max([np.max(e, initial=0.0) for e in (loss_err, dir_err)]))
+    skipped = int(ok.size - np.count_nonzero(ok))
+    witness = {"skipped": skipped} if skipped else None
+    return CheckResult("pseudo_inverse", bool(worst <= tol), worst, witness, tol)

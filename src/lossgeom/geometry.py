@@ -1,6 +1,6 @@
 """Core geometry: extended-real vector arithmetic on the nonnegative cone,
 1-homogeneous Bayes risks, 0-homogeneous loss maps, numeric supergradients,
-simplex grids and the grid-pair properness verifier.
+simplex grids, the properness verifier and every verifier's ``CheckResult``.
 
 Conventions used throughout the package:
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -26,7 +26,7 @@ __all__ = [
     "BayesRisk",
     "ProperLoss",
     "SimplexGrid",
-    "PropernessReport",
+    "CheckResult",
     "inner",
     "normalize_direction",
     "numeric_supergradient",
@@ -230,37 +230,61 @@ def simplex_grid(n: int, resolution: int) -> SimplexGrid:
 
 
 # ---------------------------------------------------------------------------
-# properness verification
+# check results and properness verification
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class PropernessReport:
-    passed: bool
-    worst_violation: float
-    witness: tuple[int, int]  # grid indices (i, j): p = points[i], q = points[j]
-    tol: float
+class CheckResult:
+    """Outcome of one verifier check: pass (None if skipped), the worst
+    violation, a witness of where it occurs (or None) and the tolerance."""
+
+    check_name: str
+    passed: bool | None
+    worst_violation: float | None
+    witness: Any
+    tol: float | None
+
+    def to_jsonable(self) -> dict:
+        return {
+            "check_name": self.check_name,
+            "pass": self.passed,
+            "worst_violation": self.worst_violation,
+            "witness": self.witness,
+            "tol": self.tol,
+        }
 
     def __str__(self) -> str:
+        if self.passed is None:
+            return f"{self.check_name:<22} skipped"
         state = "pass" if self.passed else "FAIL"
-        return (
-            f"properness {state}: worst violation {self.worst_violation:.3e} "
-            f"(tol {self.tol:.1e}) at pair {self.witness}"
-        )
+        return f"{self.check_name:<22} {state}  worst {self.worst_violation:.3e}"
 
 
-def check_properness(loss: ProperLoss, grid: SimplexGrid, tol: float = 1e-9) -> PropernessReport:
+def _finite_tol(tol: float) -> float:
+    # the one tolerance rule of the verifiers and ``substitute``: a NaN or +inf
+    # tolerance would pass any loss, while a negative one forces a failure
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be a finite number, got {tol!r}")
+    return tol
+
+
+def _check(name: str, found: tuple, tol: float, **named) -> CheckResult:
+    """The check ``name`` of ``found = (worst, *index)``: it passes when the
+    worst is at most ``tol`` (a NaN fails), and its witness takes each named
+    array at the index, in order (no witness without an index)."""
+    worst, *index = found
+    witness = {key: np.asarray(v)[i].tolist() for (key, v), i in zip(named.items(), index)}
+    return CheckResult(name, bool(worst <= tol), float(worst), witness if index else None, tol)
+
+
+def check_properness(loss: ProperLoss, grid: SimplexGrid, tol: float = 1e-9) -> CheckResult:
     """Verify <l(q); q> <= <l(p); q> + tol over all grid pairs (p, q).
 
-    The returned report carries the worst signed violation (values <= 0 mean
-    no violation was found) and the witness pair indices.
+    The result carries the worst signed violation (values <= 0 mean no
+    violation was found) and the witness points ``{"p": ..., "q": ...}``.
     """
+    _finite_tol(tol)
     P = grid.points
     if np.any(P <= 0):
         raise ValueError("properness grids must be strictly interior")
-    L = loss.loss(P)
-    worst, i, j = worst_properness_violation(L, P).properness
-    return PropernessReport(
-        passed=bool(worst <= tol),
-        worst_violation=float(worst),
-        witness=(i, j),
-        tol=tol,
-    )
+    scan = worst_properness_violation(loss.loss(P), P)
+    return _check("properness", scan.properness, tol, p=P, q=P)

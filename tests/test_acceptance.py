@@ -182,7 +182,7 @@ def test_criterion_04_pseudo_inverse():
     for loss in chains:
         grid = lg.simplex_grid(loss.n, 100 if loss.n == 2 else 13)
         rep = check_pseudo_inverse(loss, grid, tol=1e-8)
-        worst = max(worst, rep.worst_loss_error)
+        worst = max(worst, rep.worst_violation)
         ok &= rep.passed
     assert report(4, "pseudo-inverse", ok, f"worst {worst:.2e}/1e-8")
 

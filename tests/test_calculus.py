@@ -445,6 +445,18 @@ def test_scale_translate_preserves_properness():
     assert rep.passed
 
 
+def test_scale_translate_keeps_the_maximizer_only_under_an_exactly_uniform_shift():
+    log2 = lg.log_loss(2)
+    assert scale_translate(log2, 2.0, [0.5, 0.5]).maximizer is log2.maximizer
+    # t = (1, 1.00001) moves the peak to p1 = 1 / (1 + e^1e-5)
+    out = scale_translate(log2, 1.0, [1.0, 1.00001])
+    assert out.maximizer is None
+    normalized, _, p_star = normalize_canonical(out)
+    p1 = 1.0 / (1.0 + math.exp(1e-5))
+    np.testing.assert_allclose(p_star, [p1, 1.0 - p1], atol=1e-12)
+    assert float(normalized.rho(p_star)) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_scale_translate_validation():
     with pytest.raises(ValueError):
         scale_translate(lg.log_loss(2), 0.0)

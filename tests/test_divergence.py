@@ -234,9 +234,14 @@ def test_homogeneity_check_at_zero_has_no_witness(spec):
     assert all(c.passed and c.witness is None for c in exact)
 
 
+def _beats(value, best):
+    # the first strictly larger value, a NaN above everything
+    return value > best or (math.isnan(value) and not math.isnan(best))
+
+
 def _loop_reference(loss, grid, seed=0):
     """The homogeneity and reverse Hoelder checks as loops over the scales
-    and the samples, keeping the first strictly larger worst."""
+    and the samples, keeping the first strictly larger worst, a NaN first."""
     P = grid.points
     L, rho = loss.loss(P), np.asarray(loss.bayes_risk(P), dtype=np.float64)
     one = zero = (0.0, None)
@@ -245,13 +250,13 @@ def _loop_reference(loss, grid, seed=0):
             1.0 + alpha * np.abs(rho)
         )
         k = int(np.argmax(v))
-        if v[k] > one[0]:
+        if _beats(v[k], one[0]):
             one = (float(v[k]), {"alpha": alpha, "p": P[k].tolist()})
     for alpha in (0.5, 2.0, 10.0):
         d = np.where(np.isfinite(L), loss.loss(alpha * P) - L, 0.0)
         v = np.abs(d) / np.maximum(1.0, np.abs(L))
         k = int(np.argmax(v.max(axis=1)))
-        if v[k].max() > zero[0]:
+        if _beats(v[k].max(), zero[0]):
             zero = (float(v[k].max()), {"alpha": alpha, "p": P[k].tolist()})
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(P), size=min(12, len(P)), replace=False)
@@ -260,7 +265,7 @@ def _loop_reference(loss, grid, seed=0):
     rh = (-np.inf, None)
     for x, value in zip(X, lg.antipolar_loss(loss).rho(X)):
         viol = float(np.max(value * rho - P @ x))
-        if viol > rh[0]:
+        if _beats(viol, rh[0]):
             rh = (viol, {"x": x.tolist()})
     return {"one_homogeneity": one, "zero_homogeneity": zero, "reverse_hoelder": rh}
 
@@ -290,7 +295,16 @@ def test_reduced_checks_equal_their_loops_bit_for_bit(make):
     reference = _loop_reference(loss, grid, seed=3)
     for c in verify_all(loss, grid, seed=3).checks:
         if c.check_name in reference:
-            assert (c.worst_violation, c.witness) == reference[c.check_name], c.check_name
+            worst, witness = reference[c.check_name]
+            assert c.worst_violation == worst or math.isnan(c.worst_violation) and math.isnan(worst)
+            assert c.witness == witness, c.check_name
+
+
+def test_nan_at_one_scale_fails_one_homogeneity():
+    grid = lg.simplex_grid(3, 9)
+    check = _check(verify_all(_nan_at_scale_2(), grid), "one_homogeneity")
+    assert check.passed is False and math.isnan(check.worst_violation)
+    assert check.witness == {"alpha": 2.0, "p": grid.points[0].tolist()}
 
 
 _CHECK_NAMES = [
@@ -336,6 +350,34 @@ def test_verify_all_every_family_resolution_25(n):
     for loss in families:
         rep = verify_all(loss, grid)
         assert rep.passed, f"{loss.name}\n{rep}"
+
+
+def test_verify_report_prints_one_line_per_check():
+    rep = verify_all(lg.log_loss(3))
+    lines = str(rep).split("\n")
+    assert lines[0] == "verification of log:"
+    assert lines[1:] == [
+        f"  {name:<22} pass  worst {c.worst_violation:.3e}"
+        for name, c in zip(_CHECK_NAMES, rep.checks)
+    ]
+    skipped = _check(verify_all(lg.zero_one_loss(3)), "pseudo_inverse")
+    assert str(skipped) == "pseudo_inverse         skipped"
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+@pytest.mark.parametrize("verifier", [
+    lambda loss, grid, tol: lg.check_properness(loss, grid, tol=tol),
+    lambda loss, grid, tol: lg.check_pseudo_inverse(loss, grid, tol=tol),
+    lambda loss, grid, tol: verify_all(loss, grid, tol=tol),
+], ids=["properness", "pseudo_inverse", "verify_all"])
+def test_verifiers_reject_a_tolerance_that_passes_any_loss(verifier, tol):
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        verifier(lg.log_loss(2), lg.simplex_grid(2, 5), tol)
+
+
+def test_a_negative_tolerance_forces_a_failing_check():
+    # the CLI's --tol -1 relies on it
+    assert not lg.check_properness(lg.log_loss(2), lg.simplex_grid(2, 5), tol=-1.0).passed
 
 
 def test_verify_report_is_json_serializable():

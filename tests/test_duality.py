@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lossgeom as lg
-from lossgeom import duality
+from lossgeom import divergence, duality
 from lossgeom.duality import (
     antigauge,
     antipolar_bayes_risk,
@@ -145,6 +145,20 @@ def test_pseudo_inverse_cnorm_pairing():
     assert rep.passed, str(rep)
 
 
+@pytest.mark.parametrize("spec", ["log:n=3", "normloss:alpha=2,n=3", "cnorm:a=0.999,n=3"])
+def test_pseudo_inverse_check_is_verify_alls_entry(spec):
+    # cnorm at a = 0.999 skips the grid points where its loss underflows to 0
+    loss = lg.build_loss(lg.parse_loss_spec(spec))
+    grid = lg.simplex_grid(3, 10)
+    entry = next(
+        c for c in lg.verify_all(loss, grid).to_jsonable()["checks"]
+        if c["check_name"] == "pseudo_inverse"
+    )
+    idx = divergence._pair_subsample(len(grid), 50)
+    sub = lg.SimplexGrid(grid.points[idx], 3, grid.resolution, grid.margin)
+    assert check_pseudo_inverse(loss, sub).to_jsonable() == entry
+
+
 def test_pseudo_inverse_brier_numeric_chain():
     grid = lg.simplex_grid(2, 30)
     away = grid.points[np.abs(grid.points[:, 0] - 0.5) > 0.05]
@@ -266,6 +280,18 @@ def test_antigauge_methods_cross_check():
     bis = antigauge(loss, x, method="bisection", grid_resolution=400)
     assert sup == pytest.approx(1.7, abs=1e-9)
     assert bis == pytest.approx(sup, abs=1e-3)
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e-13])
+def test_antigauge_bisection_at_extreme_scales(scale):
+    # the grid bound is 1-homogeneous in x, and above the support value by
+    # the grid's accuracy
+    loss = lg.log_loss(3)
+    x = np.array([1.0, 2.0, 3.0])
+    bis = antigauge(loss, scale * x, method="bisection")
+    assert bis == pytest.approx(scale * antigauge(loss, x, method="bisection"), rel=1e-12)
+    sup = antigauge(loss, scale * x, method="support")
+    assert sup <= bis <= sup * (1.0 + 1e-3)
 
 
 # ---------------------------------------------------------------------------

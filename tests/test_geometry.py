@@ -137,7 +137,7 @@ def test_check_properness_log():
     assert rep.worst_violation <= 1e-9
 
 
-def test_check_properness_detects_perturbation():
+def _bumped_log2():
     base = lg.log_loss(2)
 
     def bad_map(p):
@@ -145,12 +145,23 @@ def test_check_properness_detects_perturbation():
         bump = 0.1 * (q[..., :1] > 0.5)
         return base.loss(q) + bump  # broken: bonus on one side only
 
-    bad = lg.ProperLoss(
+    return lg.ProperLoss(
         bayes_risk=base.bayes_risk, loss_map=bad_map, name="bad", n=2
     )
-    rep = lg.check_properness(bad, lg.simplex_grid(2, 50))
+
+
+def test_check_properness_detects_perturbation():
+    rep = lg.check_properness(_bumped_log2(), lg.simplex_grid(2, 50))
     assert not rep.passed
     assert rep.worst_violation > 0
+
+
+def test_check_properness_is_verify_alls_properness_check():
+    bad, grid = _bumped_log2(), lg.simplex_grid(2, 50)
+    rep = lg.check_properness(bad, grid)
+    assert rep == lg.verify_all(bad, grid).checks[0]
+    assert list(rep.witness) == ["p", "q"]
+    assert str(rep) == f"properness             FAIL  worst {rep.worst_violation:.3e}"
 
 
 def test_check_properness_constant_loss():
