@@ -1,8 +1,9 @@
-"""Grid-pair scans and lattice enumeration.
+"""The grid-pair scan and lattice enumeration.
 
 Shapes: ``L`` is a (G, n) matrix of loss vectors, row i = l(p_i); ``P`` is
-the (G, n) matrix of grid points.  Entries of ``L`` may be +inf; grid points
-are strictly positive, so products with +inf never hit the 0*inf case.
+the (G, n) matrix of grid points; ``rho`` is the (G,) Bayes risk at them.
+Entries of ``L`` may be +inf; grid points are strictly positive, so products
+with +inf never hit the 0*inf case.
 """
 
 import itertools
@@ -16,15 +17,12 @@ _BLOCK_BYTES = 16 * 2**20
 
 
 class PairScan(NamedTuple):
-    """Worst value and witness ``(worst, i, j)`` of each grid-pair check.
-
-    Each witness indexes the pair ``p = P[i]``, ``q = P[j]``; ``supergradient``
-    and ``bregman`` are None unless the scan was given the Bayes risk.
-    """
+    """Worst value and witness ``(worst, i, j)`` of each grid-pair check; each
+    witness indexes the pair ``p = P[i]``, ``q = P[j]``."""
 
     properness: tuple
-    supergradient: tuple | None = None
-    bregman: tuple | None = None
+    supergradient: tuple
+    bregman: tuple
 
 
 def _beats(value, best) -> bool:
@@ -32,16 +30,17 @@ def _beats(value, best) -> bool:
     return value > best or (value != value and best == best)
 
 
-def worst_properness_violation(L, P, rho=None) -> PairScan:
-    """Largest violation of <l(q);q> <= <l(p);q> over all grid pairs.
+def worst_properness_violation(L, P, rho) -> PairScan:
+    """Worst violations of the three grid-pair checks, in one pass.
 
-    ``properness`` is the signed worst gap <l(p_j);p_j> - <l(p_i);p_j>
-    (<= 0 means proper on the grid); NaN gaps, from inf - inf on the pairs
-    of an infinite row with itself, count as -inf.  Given ``rho``, the Bayes
-    risk at the grid points, the same pass also yields the worst
-    supergradient gap rho(q) - rho(p) - <l(p); q - p> and the worst negative
-    Bregman divergence <l(p);p> - <l(q);p>, where a NaN is the worst.  Ties
-    go to the first pair in row-major order of (i, j).
+    Given ``rho``, the Bayes risk at the grid points: ``properness`` is the
+    signed worst gap <l(p_j);p_j> - <l(p_i);p_j> (<= 0 means proper on the
+    grid), ``supergradient`` the worst gap rho(q) - rho(p) - <l(p); q - p>
+    and ``bregman`` the worst negative Bregman divergence
+    <l(p);p> - <l(q);p>.  A NaN is the worst, but for one case: a properness
+    gap in a column whose self-expected loss <l(p_j);p_j> is +inf is NaN
+    where <l(p_i);p_j> is +inf too, and that inf - inf counts as -inf.
+    Ties go to the first pair in row-major order of (i, j).
 
     M is built in blocks of rows, so memory stays bounded as G grows.
     """
@@ -49,6 +48,7 @@ def worst_properness_violation(L, P, rho=None) -> PairScan:
     P = np.ascontiguousarray(P, dtype=np.float64)
     G = P.shape[0]
     diag = np.einsum("ij,ij->i", L, P)
+    infinite = np.flatnonzero(diag == np.inf)
     height = max(1, _BLOCK_BYTES // (8 * G))
     prop = sg = None
     # the Bregman matrix is the transposed gap matrix V[i, j] =
@@ -60,27 +60,26 @@ def worst_properness_violation(L, P, rho=None) -> PairScan:
         a1 = min(a0 + height, G)
         with np.errstate(invalid="ignore"):
             V = L[a0:a1] @ P.T  # M, turned into the gap block in place below
-            if rho is not None:
-                S = np.subtract(V, diag[a0:a1, None])
-                np.subtract(rho[None, :] - rho[a0:a1, None], S, out=S)
-                k = int(np.argmax(S))
-                i, j = divmod(k, G)
-                if sg is None or _beats(S[i, j], sg[0]):
-                    sg = (float(S[i, j]), a0 + i, j)
-                del S
+            S = np.subtract(V, diag[a0:a1, None])
+            np.subtract(rho[None, :] - rho[a0:a1, None], S, out=S)
+            k = int(np.argmax(S))
+            i, j = divmod(k, G)
+            if sg is None or _beats(S[i, j], sg[0]):
+                sg = (float(S[i, j]), a0 + i, j)
+            del S
             np.subtract(diag[None, :], V, out=V)
-            if rho is not None:
-                worst = V.max(axis=0)
-                take = (worst > col_worst) | (np.isnan(worst) & ~np.isnan(col_worst))
-                col_worst[take] = worst[take]
-                col_block[take] = a0
-            V[np.isnan(V)] = -np.inf
+            worst = V.max(axis=0)
+            take = (worst > col_worst) | (np.isnan(worst) & ~np.isnan(col_worst))
+            col_worst[take] = worst[take]
+            col_block[take] = a0
+        if infinite.size:
+            gaps = V[:, infinite]
+            gaps[np.isnan(gaps)] = -np.inf
+            V[:, infinite] = gaps
         k = int(np.argmax(V))
         i, j = divmod(k, G)
-        if prop is None or V[i, j] > prop[0]:
+        if prop is None or _beats(V[i, j], prop[0]):
             prop = (float(V[i, j]), a0 + i, j)
-    if rho is None:
-        return PairScan(prop)
     c = int(np.argmax(col_worst))
     a0 = int(col_block[c])
     with np.errstate(invalid="ignore"):

@@ -54,20 +54,28 @@ def _csv_cell(v) -> str:
     return f"{v:.12g}"
 
 
+_CHECK_COLUMNS = ["check_name", "pass", "worst_violation", "tol"]
+
+
 def _emit(payload: dict, args) -> None:
     if args.format == "json":
         # a non-finite number has no JSON form: ValueError, exit code 2
         text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     else:
         # a table (boundary's) is written as its header and rows, any other
-        # payload as one line per key
+        # payload as one line per key; verify's checks follow those lines as
+        # a table of their own, one row per check
         if "rows" in payload:
             rows = [payload["columns"], *payload["rows"]]
         else:
             rows = [
                 [key, *(v if isinstance(v, (list, tuple)) else [v])]
                 for key, v in sorted(payload.items())
+                if key != "checks"
             ]
+            if "checks" in payload:
+                rows.append(_CHECK_COLUMNS)
+                rows += ([c[k] for k in _CHECK_COLUMNS] for c in payload["checks"])
         text = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:

@@ -427,18 +427,21 @@ def check_pseudo_inverse(loss: ProperLoss, grid: SimplexGrid, tol: float = 1e-6)
     whose loss vector is finite and > 0, where the antipolar loss is defined.
 
     The worst is the larger of the loss and direction errors, NaN if either
-    is; the witness ``{"skipped": k}`` counts the other points, if any.
-    Meaningful for strictly proper losses (unique supergradients); at kink
-    points of non-strictly-proper losses the chain depends on the selection.
+    is; the witness ``{"skipped": k}`` counts the other points, if any.  With
+    no point left the check is skipped (``passed`` None).  Meaningful for
+    strictly proper losses (unique supergradients); at kink points of
+    non-strictly-proper losses the chain depends on the selection.
     """
     _finite_tol(tol)
     lx = loss.loss(grid.points)
     ok = np.all(np.isfinite(lx) & (lx > 0), axis=1)
+    skipped = int(ok.size - np.count_nonzero(ok))
+    witness = {"skipped": skipped} if skipped else None
+    if not ok.any():
+        return CheckResult("pseudo_inverse", None, None, witness, None)
     lx, points = lx[ok], grid.points[ok]
     back = antipolar_loss(loss).loss(lx)
     loss_err = np.abs(loss.loss(back) - lx)
     dir_err = np.abs(normalize_direction(back) - normalize_direction(points))
-    worst = float(np.max([np.max(e, initial=0.0) for e in (loss_err, dir_err)]))
-    skipped = int(ok.size - np.count_nonzero(ok))
-    witness = {"skipped": skipped} if skipped else None
+    worst = float(np.maximum(np.max(loss_err), np.max(dir_err)))  # NaN if either is
     return CheckResult("pseudo_inverse", bool(worst <= tol), worst, witness, tol)

@@ -182,8 +182,7 @@ def _log_antipolar_beta(x: np.ndarray, n: int) -> np.ndarray:
     z_min is near zero, where exp(-z_min / beta) rounds to 1.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x.reshape(-1, x.shape[-1])
+    X = x.reshape(-1, x.shape[-1])
     scale = X.sum(axis=-1)
     out = np.zeros(X.shape[0])
     ok = np.all(X > 0, axis=-1) & np.isfinite(scale) & (scale > 0)
@@ -202,8 +201,7 @@ def _log_antipolar_beta(x: np.ndarray, n: int) -> np.ndarray:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         out[ok] = 0.5 * (lo + hi) * scale[ok]
-    res = out.reshape(x.shape[:-1])
-    return float(res) if single else res
+    return out.reshape(x.shape[:-1])
 
 
 def _log_rho(p):
@@ -440,7 +438,7 @@ def _scaled_cobb_douglas(a: np.ndarray, scale: float) -> ProperLoss:
     if a.ndim != 1 or a.shape[0] < 2:
         raise ValueError("parameter vector must have dimension >= 2")
     if np.any(a <= 0) or not np.all(np.isfinite(a)):
-        raise ValueError("Cobb-Douglas parameters must be strictly positive")
+        raise ValueError("cd parameters must be strictly positive")
     n = a.shape[0]
     w = a / a.sum()
     self_polar_factor = float(a.sum() / psi_gauge(w, a))
@@ -482,7 +480,7 @@ def norm_loss(alpha: float, n: int) -> ProperLoss:
     if n < 2:
         raise ValueError("dimension must be >= 2")
     if math.isnan(alpha) or alpha < 1:
-        raise ValueError("norm-loss exponent must lie in [1, inf]")
+        raise ValueError("normloss exponent must lie in [1, inf]")
 
     if math.isinf(alpha):
         c, shift = 1.0, None  # rho = 2||p||_1 - ||p||_1, the constant loss

@@ -30,7 +30,6 @@ __all__ = [
     "inner",
     "normalize_direction",
     "numeric_supergradient",
-    "numeric_supergradient_batch",
     "simplex_grid",
     "check_properness",
 ]
@@ -145,23 +144,15 @@ class ProperLoss:
 # numeric supergradients
 # ---------------------------------------------------------------------------
 def numeric_supergradient(rho: BayesRisk, p, h: float | None = None) -> np.ndarray:
-    """Central-difference supergradient of a Bayes risk, Euler-repaired.
+    """Central-difference supergradient of a Bayes risk, Euler-repaired, at a
+    point p (n,) or at each row of a batch (G, n).
 
     After differencing, the gradient g is rescaled by rho(p) / <g, p> so the
     1-homogeneity identity <g, p> = rho(p) holds exactly, then clamped to be
     nonnegative.  Requires p strictly positive and rho finite near p.
     """
     a = _coerce(p, rho.n)
-    if a.ndim != 1:
-        return numeric_supergradient_batch(rho, a, h)
-    return numeric_supergradient_batch(rho, a[None, :], h)[0]
-
-
-def numeric_supergradient_batch(
-    rho: BayesRisk, P: np.ndarray, h: float | None = None
-) -> np.ndarray:
-    """Vectorized ``numeric_supergradient`` over a (G, n) batch of points."""
-    P = np.asarray(P, dtype=np.float64)
+    P = a.reshape(-1, rho.n)
     G, n = P.shape
     if np.any(P <= 0):
         raise ValueError("numeric supergradients require strictly positive points")
@@ -182,8 +173,7 @@ def numeric_supergradient_batch(
     pairing = np.einsum("ij,ij->i", g, P)
     if np.any(pairing <= 0):
         raise ValueError("degenerate supergradient: <g, p> <= 0")
-    g = g * (base / pairing)[:, None]
-    return g
+    return (g * (base / pairing)[:, None]).reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +267,18 @@ def _check(name: str, found: tuple, tol: float, **named) -> CheckResult:
 
 
 def check_properness(loss: ProperLoss, grid: SimplexGrid, tol: float = 1e-9) -> CheckResult:
-    """Verify <l(q); q> <= <l(p); q> + tol over all grid pairs (p, q).
+    """Verify <l(q); q> <= <l(p); q> + tol over all grid pairs (p, q): the
+    properness entry of ``verify_all``, from the same pair scan.
 
     The result carries the worst signed violation (values <= 0 mean no
     violation was found) and the witness points ``{"p": ..., "q": ...}``.
+    A NaN gap fails, unless it is inf - inf at a point q whose expected loss
+    <l(q); q> is +inf, where it counts as no violation.
     """
     _finite_tol(tol)
     P = grid.points
     if np.any(P <= 0):
         raise ValueError("properness grids must be strictly interior")
-    scan = worst_properness_violation(loss.loss(P), P)
+    L = loss.loss(P)  # before the Bayes risk, which a dual M-sum then remembers
+    scan = worst_properness_violation(L, P, np.asarray(loss.bayes_risk(P), dtype=np.float64))
     return _check("properness", scan.properness, tol, p=P, q=P)

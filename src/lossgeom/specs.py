@@ -12,15 +12,17 @@ Composition specs::
 
     msum:combiner=<family>;parts=<family>,<family>[;mode=dual]
 
-The table ``_FAMILIES`` declares each family once: its constructor, the
-parameter it requires, if any, and that parameter's range.  Parsing,
-building and ``LossSpec.resolved`` read it.  Every family takes ``n=<dim>``.
+The table ``_FAMILIES`` declares each family once: its constructor and the
+parameter it requires, if any.  Parsing, building and ``LossSpec.resolved``
+read it.  Every family takes ``n=<dim>``.  The parameter's range is the
+constructor's: parsing builds each family once and reports a constructor's
+``ValueError`` at the family.
 
 Values may be ``inf``/``-inf``.  Commas inside a vector value (``cd:a=1,1``)
 are disambiguated by the rule that a bare number continues the previous
 key's value list.  Malformed input raises :class:`SpecError` carrying the
-offending position; a parameter out of range points at its family, also
-inside a composition.
+offending position; a parameter out of range (NaN included) or a cd vector
+that does not match ``n`` points at its family, also inside a composition.
 """
 
 from __future__ import annotations
@@ -56,13 +58,12 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class _Family:
-    """A loss family of the spec language."""
+    """A loss family of the spec language; its constructor states the
+    parameter's range, raising ``ValueError`` outside it."""
 
     build: Callable[..., ProperLoss]  # build(param, n), build(n) without a param
     key: str | None = None  # the parameter the family requires
     vector: bool = False  # the parameter is a vector; its length is the dimension
-    bad: Callable[..., bool] | None = None  # flags a parameter out of range,
-    message: str = ""  # which is reported with this message
 
 
 _FAMILIES = {
@@ -70,18 +71,9 @@ _FAMILIES = {
     "brier": _Family(brier_loss),
     "zeroone": _Family(zero_one_loss),
     "const": _Family(constant_loss),
-    "cnorm": _Family(
-        cnorm_loss, "a", bad=lambda a: a == 0 or a > 1,
-        message="cnorm exponent must lie in [-inf, 1] and be nonzero",
-    ),
-    "cd": _Family(
-        cobb_douglas_loss, "a", vector=True, bad=lambda a: any(v <= 0 for v in a),
-        message="cd parameters must be strictly positive",
-    ),
-    "normloss": _Family(
-        norm_loss, "alpha", bad=lambda alpha: alpha < 1,
-        message="normloss exponent must lie in [1, inf]",
-    ),
+    "cnorm": _Family(cnorm_loss, "a"),
+    "cd": _Family(cobb_douglas_loss, "a", vector=True),
+    "normloss": _Family(norm_loss, "alpha"),
 }
 
 
@@ -180,9 +172,12 @@ def _parse_family(text: str, fragment: str, offset: int) -> LossSpec:
             raise SpecError(f"parameter {key!r} takes a single value", text, offset)
     if "n" in params and not (params["n"].is_integer() and params["n"] >= 2):
         raise SpecError("n must be an integer >= 2", text, offset)
-    if family.key is not None and family.bad(params[family.key]):
-        raise SpecError(family.message, text, offset)
-    return LossSpec(family=name, params=params)
+    spec = LossSpec(family=name, params=params)
+    try:
+        build_loss(spec)
+    except ValueError as err:
+        raise SpecError(str(err), text, offset) from None
+    return spec
 
 
 def _split_specs(body: str) -> list[str]:

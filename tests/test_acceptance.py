@@ -97,7 +97,7 @@ def test_criterion_01_properness():
 # 2. analytic loss maps vs finite-difference supergradients
 # ---------------------------------------------------------------------------
 def test_criterion_02_gradient_consistency():
-    from lossgeom.geometry import numeric_supergradient_batch
+    from lossgeom.geometry import numeric_supergradient
 
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -105,7 +105,7 @@ def test_criterion_02_gradient_consistency():
         P = interior_points(n, 100, rng)  # 100 points at each of two dims
         for loss in _families(n):
             L = loss.loss(P)
-            G = numeric_supergradient_batch(loss.bayes_risk, P)
+            G = numeric_supergradient(loss.bayes_risk, P)
             worst = max(worst, float(np.max(np.abs(L - G))))
     assert report(2, "gradient consistency", worst <= 1e-5, f"worst {worst:.2e} (tol 1e-5)")
 

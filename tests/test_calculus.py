@@ -22,7 +22,7 @@ from lossgeom.cli import main
 from lossgeom.divergence import verify_all
 from lossgeom.duality import antipolar_bayes_risk
 from lossgeom.families import beta_gauge
-from lossgeom.geometry import numeric_supergradient_batch
+from lossgeom.geometry import numeric_supergradient
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,27 @@ def test_dual_msum_three_parts():
     assert float(dual.rho(p)) == pytest.approx(float(log2.rho(p)) / 3.0, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "spec,n",
+    [
+        ("msum:combiner=const;parts=log,brier,brier;mode=dual", 2),
+        ("msum:combiner=cnorm:a=1;parts=brier,log,brier;mode=dual", 2),
+        ("msum:combiner=cnorm:a=0.5;parts=log,brier,log;mode=dual", 3),
+    ],
+)
+def test_dual_msum_loss_map_with_three_parts(spec, n):
+    # the loss map carries the splitting's weights across every part: it is
+    # proper, the Bayes risk's gradient, and pairs with p to rho(p)
+    dual = lg.loss_from_text(spec, n)
+    grid = lg.simplex_grid(n, 4 if n == 2 else 3)
+    P = grid.points
+    fd = numeric_supergradient(dual.bayes_risk, P)  # its last solve is at P,
+    L = dual.loss(P)  # which the loss map, properness and rho then share
+    assert lg.check_properness(dual, grid).worst_violation <= 1e-9
+    assert np.max(np.abs(L - fd)) <= 1e-5
+    np.testing.assert_allclose(np.sum(L * P, axis=1), dual.rho(P), rtol=1e-12, atol=0.0)
+
+
 def _splitting_brute(combiner, parts, p, coarse=200, fine=40, levels=8):
     """sup over splittings p = a1 + a2 of combiner(rho1(a1), rho2(a2)), n = 2.
 
@@ -222,7 +243,7 @@ def test_dual_msum_matches_brute_force_splitting(combiner, smooth):
         # solver may sit below the supremum by its certified gap (1e-12)
         assert np.all(rho >= brute * (1.0 - 1e-12))
     L = dual.loss(P)
-    fd = numeric_supergradient_batch(dual.bayes_risk, P)
+    fd = numeric_supergradient(dual.bayes_risk, P)
     assert np.max(np.abs(L - fd)) <= 1e-5
     np.testing.assert_allclose(np.sum(L * P, axis=1), rho, rtol=1e-12, atol=0.0)
 

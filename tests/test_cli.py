@@ -1,5 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 import warnings
@@ -372,6 +374,23 @@ def test_csv_format(capsys):
     assert lines["bayes_risk"] == f"{math.log(2):.12g}"
     assert float(lines["bayes_risk"]) == pytest.approx(math.log(2), abs=1e-12)
     assert "\r" not in out
+
+
+def test_verify_csv_is_one_row_per_check(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--loss", "brier:n=3", "--format", "csv")
+    assert code == 0
+    _, text, _ = run_cli(capsys, "verify", "--loss", "brier:n=3")
+    report = json.loads(text)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[:4] == [
+        ["loss", "brier:n=3"], ["pass", "True"], ["resolution", "25"],
+        ["check_name", "pass", "worst_violation", "tol"],
+    ]
+    assert len(rows) == 4 + len(report["checks"])
+    for row, check in zip(rows[4:], report["checks"]):
+        assert row[:2] == [check["check_name"], str(check["pass"])]
+        assert float(row[2]) == pytest.approx(check["worst_violation"], rel=1e-11, abs=0.0)
+        assert float(row[3]) == check["tol"]
 
 
 def test_output_file(tmp_path, capsys):

@@ -178,6 +178,16 @@ def test_verify_all_skips_pseudo_inverse_points_without_a_positive_loss():
     assert _check(rep, "pseudo_inverse").witness == {"skipped": 30}
 
 
+def test_pseudo_inverse_with_every_point_skipped_is_skipped():
+    # at resolution 2 every grid point of cnorm:a=0.999 has a loss entry of
+    # 0: with no point left the check shows nothing, and reports as skipped
+    rep = verify_all(lg.cnorm_loss(0.999, 3), lg.simplex_grid(3, 2))
+    check = _check(rep, "pseudo_inverse")
+    assert (check.passed, check.worst_violation, check.witness) == (None, None, {"skipped": 6})
+    assert str(check) == "pseudo_inverse         skipped"
+    assert rep.passed
+
+
 def test_verify_all_detects_corruption():
     base = lg.log_loss(2)
 

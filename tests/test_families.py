@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import lossgeom as lg
 from lossgeom.families import _brier_antipolar_solve, beta_gauge, psi_gauge
-from lossgeom.geometry import normalize_direction, numeric_supergradient_batch
+from lossgeom.geometry import normalize_direction, numeric_supergradient
 
 from conftest import analytic_families, interior_points
 
@@ -518,5 +518,5 @@ def test_analytic_maps_match_numeric_supergradients(rng):
         P = interior_points(n, 30, rng)
         for loss in analytic_families(n):
             L = loss.loss(P)
-            G = numeric_supergradient_batch(loss.bayes_risk, P)
+            G = numeric_supergradient(loss.bayes_risk, P)
             assert np.max(np.abs(L - G)) <= 1e-5, loss.name

@@ -74,6 +74,15 @@ def test_numeric_supergradient_cobb_douglas():
     np.testing.assert_allclose(analytic, [0.5, 0.5], atol=1e-12)
 
 
+def test_numeric_supergradient_point_is_its_batch_row():
+    rho = lg.log_loss(3).bayes_risk
+    P = lg.simplex_grid(3, 4).points
+    batch = numeric_supergradient(rho, P)
+    assert batch.shape == P.shape
+    for p, row in zip(P, batch):
+        np.testing.assert_array_equal(numeric_supergradient(rho, p), row)
+
+
 def test_numeric_supergradient_euler_consistency(rng):
     for loss in (lg.log_loss(3), lg.brier_loss(3)):
         for p in interior_points(3, 5, rng):
@@ -162,6 +171,25 @@ def test_check_properness_is_verify_alls_properness_check():
     assert rep == lg.verify_all(bad, grid).checks[0]
     assert list(rep.witness) == ["p", "q"]
     assert str(rep) == f"properness             FAIL  worst {rep.worst_violation:.3e}"
+
+
+def test_check_properness_fails_a_nan_loss():
+    # l(p) is NaN in coordinate 0 near t = 0.5: its gaps are NaN, not the
+    # inf - inf of an infinite loss, so the check fails as verify_all's does
+    base = lg.log_loss(2)
+
+    def nan_map(p):
+        out = base.loss(p)
+        q = lg.normalize_direction(p)
+        out[..., 0] = np.where(np.abs(q[..., 0] - 0.5) < 0.01, np.nan, out[..., 0])
+        return out
+
+    loss = lg.ProperLoss(bayes_risk=base.bayes_risk, loss_map=nan_map, name="nan", n=2)
+    grid = lg.simplex_grid(2, 25)
+    rep = lg.check_properness(loss, grid)
+    assert rep.passed is False and math.isnan(rep.worst_violation)
+    suite = lg.verify_all(loss, grid).checks[0]
+    assert (str(rep), rep.witness) == (str(suite), suite.witness)
 
 
 def test_check_properness_constant_loss():

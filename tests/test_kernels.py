@@ -23,20 +23,19 @@ def _first_worst(A):
 
 def pair_matrices(L, P, rho):
     """The G x G matrices of the three pair checks: properness (NaN as
-    -inf), supergradient and Bregman."""
+    -inf in the columns whose self-expected loss is +inf), supergradient and
+    Bregman."""
     with np.errstate(invalid="ignore"):
         E = L @ P.T  # E[i, j] = <l(p_i); p_j>
         diag = np.einsum("ij,ij->i", L, P)
         V = diag[None, :] - E
-        sg = None if rho is None else rho[None, :] - rho[:, None] - (E - diag[:, None])
+        sg = rho[None, :] - rho[:, None] - (E - diag[:, None])
         br = diag[:, None] - E.T
-    return np.where(np.isnan(V), -np.inf, V), sg, br
+    return np.where(np.isnan(V) & (diag == np.inf)[None, :], -np.inf, V), sg, br
 
 
-def full_matrix_scan(L, P, rho=None):
+def full_matrix_scan(L, P, rho):
     prop, sg, br = pair_matrices(L, P, rho)
-    if rho is None:
-        return K.PairScan(_first_worst(prop))
     return K.PairScan(_first_worst(prop), _first_worst(sg), _first_worst(br))
 
 
@@ -48,9 +47,8 @@ def compositions_brute(total, parts):
 
 
 def _assert_scans_equal(L, P, rho):
-    for r in (None, rho):
-        got = K.worst_properness_violation(L, P, r)
-        np.testing.assert_equal(tuple(got), tuple(full_matrix_scan(L, P, r)))
+    got = K.worst_properness_violation(L, P, rho)
+    np.testing.assert_equal(tuple(got), tuple(full_matrix_scan(L, P, rho)))
 
 
 def _height(G):
@@ -93,7 +91,7 @@ def test_worst_violation_twins_agree_on_inf(rng, monkeypatch):
     # self-expected loss: the scan flags it with inf, never NaN
     L = np.array([[1.0, np.inf], [0.5, 0.5]])
     P = np.array([[0.5, 0.5], [0.9, 0.1]])
-    worst, _, _ = K.worst_properness_violation(L, P).properness
+    worst, _, _ = K.worst_properness_violation(L, P, np.einsum("ij,ij->i", L, P)).properness
     assert worst == np.inf
 
     # rows with +inf entries across several blocks: inf - inf pairs are NaN
@@ -124,14 +122,13 @@ def test_scan_memory_is_bounded(rng):
     P = lg.simplex_grid(3, 100).points
     L = rng.uniform(0.0, 3.0, P.shape)
     rho = np.einsum("ij,ij->i", L, P)
-    for r in (None, rho):
-        tracemalloc.start()
-        try:
-            K.worst_properness_violation(L, P, r)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+    tracemalloc.start()
+    try:
+        K.worst_properness_violation(L, P, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("total,parts", [(4, 3), (7, 2), (5, 4), (0, 3), (6, 1)])

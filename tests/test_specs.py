@@ -110,6 +110,26 @@ def test_range_errors_point_at_their_family(text, position, message):
     assert str(info.value).endswith("\n  " + " " * position + "^")
 
 
+@pytest.mark.parametrize(
+    "text,family,message",
+    [
+        ("cnorm:a=nan", "cnorm", "cnorm exponent"),
+        ("normloss:alpha=nan", "normloss", "normloss exponent"),
+        ("cd:a=nan,1", "cd", "cd parameters"),
+        ("cd:a=inf,1", "cd", "cd parameters"),
+        ("msum:combiner=cnorm:a=nan;parts=log,log", "cnorm", "cnorm exponent"),
+        ("cd:a=1,2,n=3", "cd", "cd parameter vector has dimension 2, context wants 3"),
+    ],
+)
+def test_constructor_errors_point_at_their_family(text, family, message):
+    # the range a constructor states, NaN and inf included, and the cd
+    # dimension rule are reported at the family, as the spec's own errors are
+    with pytest.raises(SpecError, match=message) as info:
+        parse_loss_spec(text)
+    assert info.value.position == text.index(family)
+    assert str(info.value).endswith("\n  " + " " * text.index(family) + "^")
+
+
 @pytest.mark.parametrize("lead", ["", "  ", "\t "])
 @pytest.mark.parametrize(
     "text,family",
